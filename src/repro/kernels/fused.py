@@ -20,12 +20,18 @@ once per (offset digest, geometry, device, fp16) plan-cache entry:
 * **preallocated buffers** — a per-corner gather buffer, the im2col
   column buffer, and the GEMM output buffer, reused across calls.
 
-:meth:`FusedPlan.execute` then runs offset-quantise → gather → blend →
-GEMM as one preplanned pass writing into those buffers: four
-``np.take`` gathers blended in place into the column buffer and a
-single einsum contraction (the *same* ``"ok,nkl->nol"`` expression as
-the eager path, so the contraction order — and therefore every output
-bit — is identical).  The conformance suite's plan-cache-transparency
+:meth:`FusedPlan.execute` then runs gather → blend → GEMM as one
+preplanned pass writing into those buffers: four ``np.take`` gathers
+blended in place into the column buffer and one
+:func:`~repro.kernels.reference.contract` call (the *same* einsum as the
+eager path, so the contraction order — and therefore every output bit —
+is identical).
+
+The same class serves fleet shards (:mod:`repro.kernels.shards`): a
+plan built with a :class:`~repro.kernels.shards.ShardSpec` covers only
+that shard's channel or output-row window of the column matrix, and its
+:meth:`FusedPlan.gather` output is bitwise the same slice of the
+whole-layer columns.  The conformance suite's plan-cache-transparency
 check and ``tests/test_fused.py`` pin bit-identical outputs and
 KernelStats against eager execution.
 
@@ -47,6 +53,7 @@ import numpy as np
 from repro.gpusim.device import DeviceSpec
 from repro.gpusim.texture import linear_filter_taps
 from repro.kernels.config import LayerConfig
+from repro.kernels.reference import contract
 
 #: Execution modes understood by the texture backends.
 EXECUTION_MODES = ("eager", "fused")
@@ -64,45 +71,59 @@ def validate_execution(execution: str, plan_cache) -> None:
 
 
 class FusedPlan:
-    """One compiled tex2D/tex2D++ forward for a fixed (offsets, geometry).
+    """One compiled tex2D/tex2D++ gather for a fixed (offsets, geometry).
 
-    Built from the full sampling-position arrays by
-    :func:`build_fused_plan`; executed against per-call ``(x, weight,
-    bias)`` tensors by :meth:`execute`.  All offset-dependent work —
-    coordinate quantisation, address-mode resolution, fixed-point blend
-    weights — happened at build time; execute only gathers, blends and
-    contracts.
+    Covers a window of the layer's column matrix: per-group input
+    channels ``[c0, c1)`` and output pixels ``[l0, l1)``, the whole layer
+    by default or one :class:`~repro.kernels.shards.ShardSpec` slice of
+    it.  Built from the sampling positions by :func:`build_fused_plan`;
+    :meth:`gather` fills the window's columns from a per-call input and
+    :meth:`execute` (whole-layer plans) adds the contraction.  All
+    offset-dependent work — coordinate quantisation, address-mode
+    resolution, fixed-point blend weights — happened at build time.
     """
 
     def __init__(self, cfg: LayerConfig, fp16: bool,
-                 idx: np.ndarray, wts: np.ndarray):
+                 idx: np.ndarray, wts: np.ndarray, shard=None):
         n, dg = cfg.batch, cfg.deformable_groups
-        c, k, l = cfg.in_channels, cfg.taps, cfg.out_pixels
+        cpg, k = cfg.in_channels // dg, cfg.taps
         self.cfg = cfg
         self.fp16 = bool(fp16)
-        self.n, self.dg, self.cpg = n, dg, c // dg
-        self.kl = k * l
+        self.shard = shard
+        self.n, self.dg, self.cpg = n, dg, cpg
         self.hw = cfg.height * cfg.width
-        #: (4, n·dg, K·L) flat corner texel indices into one layer
+        self.c0, self.c1, self.l0, self.l1 = _window(cfg, shard)
+        self.csel = self.c1 - self.c0
+        self.lsel = self.l1 - self.l0
+        #: (4, n·dg, K·lsel) flat corner texel indices into one layer
         self.idx = idx
-        #: (4, n·dg, 1, K·L) blend weights, border mask folded in
+        #: (4, n·dg, 1, K·lsel) blend weights, border mask folded in
         self.wts = wts
+        #: destination rows of the full column matrix (channel shards)
+        self.dest_rows = None
+        if shard is not None and shard.kind == "channels":
+            self.dest_rows = np.concatenate([
+                np.arange((g * cpg + self.c0) * k, (g * cpg + self.c1) * k)
+                for g in range(dg)])
         # Preallocated execution buffers, reused across calls.  ``cols``
-        # is the im2col column matrix the GEMM consumes; viewed per
-        # (batch, group) for the blend.  ``corner`` stages one corner's
-        # gathered texels; ``out`` receives the einsum contraction.
-        self.cols = np.empty((n, c * k, l), dtype=np.float32)
-        self._cols_bg = self.cols.reshape(n * dg, self.cpg, self.kl)
-        self.corner = np.empty((self.cpg, self.kl), dtype=np.float32)
-        self.out = np.empty((n, cfg.out_channels, l), dtype=np.float32)
+        # is the window's im2col column matrix; viewed per (batch, group)
+        # for the blend.  ``corner`` stages one corner's gathered texels;
+        # ``out`` receives a whole-layer plan's contraction.
+        self.cols = np.empty((n, dg * self.csel * k, self.lsel),
+                             dtype=np.float32)
+        self._cols_bg = self.cols.reshape(n * dg, self.csel, k * self.lsel)
+        self.corner = np.empty((self.csel, k * self.lsel), dtype=np.float32)
+        self.out = (np.empty((n, cfg.out_channels, cfg.out_pixels),
+                             dtype=np.float32) if shard is None else None)
         #: buffers are shared mutable state — one execution at a time
-        self._lock = threading.Lock()
+        self._lock = threading.RLock()
 
     @property
     def nbytes(self) -> int:
         """Resident bytes of the precomputed state + reusable buffers."""
-        return (self.idx.nbytes + self.wts.nbytes + self.cols.nbytes
-                + self.corner.nbytes + self.out.nbytes)
+        return sum(a.nbytes for a in (self.idx, self.wts, self.cols,
+                                      self.corner, self.out)
+                   if a is not None)
 
     def retarget(self, idx: np.ndarray, wts: np.ndarray) -> "FusedPlan":
         """Swap in freshly computed tap tables, keeping the buffers.
@@ -125,13 +146,16 @@ class FusedPlan:
         return self
 
     # ------------------------------------------------------------------
-    def execute(self, x: np.ndarray, weight: np.ndarray,
-                bias: Optional[np.ndarray]) -> np.ndarray:
-        """Run the fused forward; returns a fresh (N, OC, OH, OW) array.
+    def gather(self, x: np.ndarray) -> np.ndarray:
+        """Gather/blend this plan's column window from the full input.
 
-        Bit-identical to the eager texture path: the gather/blend
-        replays :meth:`LayeredTexture2D.fetch`'s corner accumulation
-        order and the contraction is the same einsum expression.
+        Replays :meth:`LayeredTexture2D.fetch`'s corner accumulation
+        order, so the columns are bitwise the eager path's (or the same
+        slice of them).  Returns the reusable ``cols`` buffer — consume
+        (contract or stitch) it before gathering with this plan again.
+        Gathers read the *full* input feature map: border addressing is
+        resolved in the tap tables against full-image extents, so a
+        physically cropped input would change semantics.
         """
         cfg = self.cfg
         if x.shape != cfg.input_shape():
@@ -139,11 +163,10 @@ class FusedPlan:
                              f"{cfg.input_shape()}, got {x.shape}")
         xf = np.ascontiguousarray(x, dtype=np.float32).reshape(
             self.n * self.dg, self.cpg, self.hw)
-        w2 = weight.reshape(cfg.out_channels, cfg.in_channels * cfg.taps)
         with self._lock:
             cols, corner = self._cols_bg, self.corner
             for b in range(self.n * self.dg):
-                xb, acc = xf[b], cols[b]
+                xb, acc = xf[b, self.c0:self.c1], cols[b]
                 # corner 0 lands straight in the column buffer; corners
                 # 1-3 stage through ``corner`` and accumulate — the same
                 # ((t0 + t1) + t2) + t3 order as the eager fetch.
@@ -154,24 +177,51 @@ class FusedPlan:
                             mode="clip")
                     np.multiply(corner, self.wts[q, b], out=corner)
                     acc += corner
-            np.einsum("ok,nkl->nol", w2, self.cols, optimize=True,
-                      out=self.out)
-            out4 = self.out.reshape(self.n, cfg.out_channels,
-                                    cfg.out_height, cfg.out_width)
-            if bias is not None:
-                return out4 + bias.reshape(1, -1, 1, 1)
-            return out4.copy()
+            return self.cols
+
+    def execute(self, x: np.ndarray, weight: np.ndarray,
+                bias: Optional[np.ndarray]) -> np.ndarray:
+        """Run the fused forward; returns a fresh (N, OC, OH, OW) array.
+
+        :meth:`gather` plus :func:`~repro.kernels.reference.contract` —
+        bit-identical to the eager texture path.  Whole-layer plans only:
+        a shard's columns are stitched before the one contraction.
+        """
+        if self.out is None:
+            raise ValueError(f"shard plan {self.shard.label()} has no "
+                             f"contraction — stitch its columns")
+        with self._lock:
+            return contract(weight, self.gather(x), bias, self.cfg,
+                            out=self.out)
+
+
+def _window(cfg: LayerConfig, shard) -> Tuple[int, int, int, int]:
+    """``(c0, c1, l0, l1)`` of a shard (``None``: the whole layer)."""
+    cpg = cfg.in_channels // cfg.deformable_groups
+    if shard is None:
+        return 0, cpg, 0, cfg.out_pixels
+    if shard.kind == "rows":
+        if shard.hi > cfg.out_height:
+            raise ValueError(f"row shard {shard.label()} exceeds "
+                             f"out_height {cfg.out_height}")
+        return 0, cpg, shard.lo * cfg.out_width, shard.hi * cfg.out_width
+    if shard.hi > cpg:
+        raise ValueError(f"channel shard {shard.label()} exceeds "
+                         f"channels-per-group {cpg}")
+    return shard.lo, shard.hi, 0, cfg.out_pixels
 
 
 def build_fused_plan(cfg: LayerConfig, spec: DeviceSpec, fp16: bool,
-                     positions: Callable[[], Tuple[np.ndarray, np.ndarray]]
-                     ) -> FusedPlan:
+                     positions: Callable[[], Tuple[np.ndarray, np.ndarray]],
+                     shard=None) -> FusedPlan:
     """Compile a :class:`FusedPlan` from the full sampling positions.
 
     ``positions`` supplies the (N, dg, K, L) fractional sampling
-    positions (already fp16-quantised offsets for tex2D++).  The corner
-    indices and weights reproduce the eager path exactly: pixel → texture
-    coordinate shift, fp16 coordinate quantisation, then
+    positions (already fp16-quantised offsets for tex2D++).  A row-band
+    ``shard`` slices them along L before the tables are built; a channel
+    slice keeps them whole (all channels of a group share them).  The
+    corner indices and weights reproduce the eager path exactly: pixel →
+    texture coordinate shift, fp16 coordinate quantisation, then
     :func:`~repro.gpusim.texture.linear_filter_taps`.
     """
     n, dg = cfg.batch, cfg.deformable_groups
@@ -179,25 +229,26 @@ def build_fused_plan(cfg: LayerConfig, spec: DeviceSpec, fp16: bool,
     if cfg.in_channels % dg:
         raise ValueError(f"in_channels {cfg.in_channels} not divisible by "
                          f"deformable_groups {dg}")
+    c0, c1, l0, l1 = _window(cfg, shard)
     max_h, max_w, max_layers = spec.max_texture_extent
-    if h > max_h or w > max_w or n * cfg.in_channels > max_layers:
+    layers = n * dg * (c1 - c0)
+    if h > max_h or w > max_w or layers > max_layers:
         raise ValueError(
-            f"texture extent {(n * cfg.in_channels, h, w)} exceeds device "
+            f"texture extent {(layers, h, w)} exceeds device "
             f"limit {spec.max_texture_extent} — partition the mini-batch "
             f"(paper Section III-B)")
     py, px = positions()
-    idx, wts = tap_tables(py, px, h, w, fp16)
-    return FusedPlan(cfg, fp16, idx, wts)
+    idx, wts = tap_tables(py[..., l0:l1], px[..., l0:l1], h, w, fp16)
+    return FusedPlan(cfg, fp16, idx, wts, shard)
 
 
 def tap_tables(py: np.ndarray, px: np.ndarray, h: int, w: int,
                fp16: bool) -> Tuple[np.ndarray, np.ndarray]:
     """Corner index/weight tables for arbitrary (N, dg, ...) positions.
 
-    The one compilation step shared by :func:`build_fused_plan` (full
-    layer) and the per-shard gather plans of
-    :mod:`repro.kernels.shards` (a row-band or channel slice of the same
-    positions): pixel coords → texture coords (+0.5), the tex2D++ fp16
+    The one compilation step of :func:`build_fused_plan` (whole layer or
+    a row band of the positions) and of the streaming retarget path:
+    pixel coords → texture coords (+0.5), the tex2D++ fp16
     coordinate quantisation, then
     :func:`~repro.gpusim.texture.linear_filter_taps` — exactly
     ``fetch_at_pixel_coords`` + ``fetch``.  Because every operation is

@@ -50,6 +50,7 @@ timeline.  See ``docs/performance.md``.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import threading
 import time
@@ -65,8 +66,7 @@ from repro.gpusim.device import DeviceSpec
 from repro.gpusim.trace import SamplePlan, cta_ids_for_tile, sample_trace_ctas
 from repro.kernels.config import LayerConfig
 from repro.kernels.fused import FusedPlan, build_fused_plan, tap_tables
-from repro.kernels.shards import (ShardGatherPlan, ShardSpec,
-                                  build_shard_gather_plan)
+from repro.kernels.shards import ShardSpec
 
 #: Default bound on distinct (offsets, geometry) trace entries kept live.
 DEFAULT_MAX_ENTRIES = 64
@@ -92,7 +92,7 @@ class _TraceEntry:
 
     One entry owns everything memoised for one (offset digest, geometry,
     device, fp16) key: the fetch trace, the per-tile cache stats, *and*
-    the fused execution plans — one LRU lifetime, one digest key, so a
+    the compiled execution plans — one LRU lifetime, one digest key, so a
     fused plan can never outlive (or lag behind) the trace it belongs to.
     """
 
@@ -106,10 +106,9 @@ class _TraceEntry:
     #: (tile, concurrent_layers) → (stats, trace scale)
     stats: Dict[Tuple[Tuple[int, int], int],
                 Tuple[TextureCacheStats, float]] = field(default_factory=dict)
-    #: (in_channels, out_channels) → compiled fused execution plan
-    fused: Dict[Tuple[int, int], FusedPlan] = field(default_factory=dict)
-    #: (shard descriptor, in_channels) → compiled shard gather plan
-    shards: Dict[tuple, ShardGatherPlan] = field(default_factory=dict)
+    #: compiled plans: (in_channels, out_channels) → whole-layer plan,
+    #: (shard descriptor, in_channels) → shard-window plan
+    plans: Dict[tuple, FusedPlan] = field(default_factory=dict)
 
 
 @dataclass
@@ -130,145 +129,82 @@ class _SessionAnchor:
     plans: Dict[Tuple[int, int], FusedPlan] = field(default_factory=dict)
 
 
+_LOOKUPS_HELP = "perf-model plan cache lookups by result (hit/miss)"
+#: Counters of :class:`PlanCacheStats`: attribute → (registry metric, help,
+#: ``result`` label — the two lookup outcomes share one labelled metric).
+_COUNTERS = {
+    "hits": ("plan_cache_lookups", _LOOKUPS_HELP, "hit"),
+    "misses": ("plan_cache_lookups", _LOOKUPS_HELP, "miss"),
+    "trace_builds": ("plan_cache_trace_builds",
+                     "fetch traces built by the plan cache (one per "
+                     "distinct offsets+geometry)", None),
+    "fused_builds": ("plan_cache_fused_builds",
+                     "fused execution plans compiled by the plan cache",
+                     None),
+    "shard_builds": ("plan_cache_shard_builds",
+                     "shard gather plans compiled by the plan cache "
+                     "(one per distinct offsets+geometry+shard)", None),
+    "evictions": ("plan_cache_evictions",
+                  "trace entries dropped at the LRU bound (a high rate "
+                  "under streaming means max_entries is too small for "
+                  "the live session count)", None),
+    "delta_hits": ("plan_cache_delta_hits",
+                   "exact-digest misses served from a session anchor "
+                   "(trace/tile simulation and fused buffers reused; "
+                   "blend weights recomputed for the current frame)", None),
+    "delta_rejects": ("plan_cache_delta_rejects",
+                      "session-anchor probes whose quantised offset delta "
+                      "exceeded the bound (full rebuild + re-anchor)", None),
+}
+
+
+def _labels(name: str) -> dict:
+    result = _COUNTERS[name][2]
+    return {} if result is None else {"result": result}
+
+
 class PlanCacheStats:
     """Hit/miss/build counters of one :class:`PlanCache` (thread-safe)."""
 
     def __init__(self):
-        self.hits = 0
-        self.misses = 0
-        self.trace_builds = 0
-        self.fused_builds = 0
-        self.shard_builds = 0
-        self.evictions = 0
-        self.delta_hits = 0
-        self.delta_rejects = 0
+        for name in _COUNTERS:
+            setattr(self, name, 0)
         self._lock = threading.Lock()
-        self._lookup_counter = None
-        self._build_counter = None
-        self._fused_counter = None
-        self._shard_counter = None
-        self._eviction_counter = None
-        self._delta_hit_counter = None
-        self._delta_reject_counter = None
+        self._counters: Dict[str, object] = {}
         self._build_window = None
 
     @property
     def bound(self) -> bool:
         """Whether the counters already publish to some registry."""
         with self._lock:
-            return self._lookup_counter is not None
+            return bool(self._counters)
 
     def bind_registry(self, registry) -> "PlanCacheStats":
         """Mirror counters onto a MetricsRegistry, re-publishing history."""
         with self._lock:
-            self._lookup_counter = registry.counter(
-                "plan_cache_lookups",
-                help="perf-model plan cache lookups by result (hit/miss)")
-            self._build_counter = registry.counter(
-                "plan_cache_trace_builds",
-                help="fetch traces built by the plan cache (one per "
-                     "distinct offsets+geometry)")
-            self._fused_counter = registry.counter(
-                "plan_cache_fused_builds",
-                help="fused execution plans compiled by the plan cache")
-            self._shard_counter = registry.counter(
-                "plan_cache_shard_builds",
-                help="shard gather plans compiled by the plan cache "
-                     "(one per distinct offsets+geometry+shard)")
-            self._eviction_counter = registry.counter(
-                "plan_cache_evictions",
-                help="trace entries dropped at the LRU bound (a high rate "
-                     "under streaming means max_entries is too small for "
-                     "the live session count)")
-            self._delta_hit_counter = registry.counter(
-                "plan_cache_delta_hits",
-                help="exact-digest misses served from a session anchor "
-                     "(trace/tile simulation and fused buffers reused; "
-                     "blend weights recomputed for the current frame)")
-            self._delta_reject_counter = registry.counter(
-                "plan_cache_delta_rejects",
-                help="session-anchor probes whose quantised offset delta "
-                     "exceeded the bound (full rebuild + re-anchor)")
+            for name, (metric, help, _) in _COUNTERS.items():
+                counter = registry.counter(metric, help=help)
+                self._counters[name] = counter
+                if getattr(self, name):
+                    counter.inc(getattr(self, name), **_labels(name))
             self._build_window = registry.windowed_histogram(
                 "plan_cache_build_ms",
-                help="wall ms spent compiling plans (trace/fused), "
-                     "windowed on the wall clock — a build spike in a "
-                     "serving window means new offset digests arrived")
-            for result, n in (("hit", self.hits), ("miss", self.misses)):
-                if n:
-                    self._lookup_counter.inc(n, result=result)
-            if self.trace_builds:
-                self._build_counter.inc(self.trace_builds)
-            if self.fused_builds:
-                self._fused_counter.inc(self.fused_builds)
-            if self.shard_builds:
-                self._shard_counter.inc(self.shard_builds)
-            if self.evictions:
-                self._eviction_counter.inc(self.evictions)
-            if self.delta_hits:
-                self._delta_hit_counter.inc(self.delta_hits)
-            if self.delta_rejects:
-                self._delta_reject_counter.inc(self.delta_rejects)
+                help="wall ms spent compiling plans (trace/fused/shard/"
+                     "retarget), windowed on the wall clock — a build "
+                     "spike in a serving window means new offset digests "
+                     "arrived")
         return self
 
-    def record_hit(self) -> None:
+    def _record(self, name: str) -> None:
         with self._lock:
-            self.hits += 1
-            counter = self._lookup_counter
+            setattr(self, name, getattr(self, name) + 1)
+            counter = self._counters.get(name)
         if counter is not None:
-            counter.inc(result="hit")
-
-    def record_miss(self) -> None:
-        with self._lock:
-            self.misses += 1
-            counter = self._lookup_counter
-        if counter is not None:
-            counter.inc(result="miss")
-
-    def record_trace_build(self) -> None:
-        with self._lock:
-            self.trace_builds += 1
-            counter = self._build_counter
-        if counter is not None:
-            counter.inc()
-
-    def record_fused_build(self) -> None:
-        with self._lock:
-            self.fused_builds += 1
-            counter = self._fused_counter
-        if counter is not None:
-            counter.inc()
-
-    def record_shard_build(self) -> None:
-        with self._lock:
-            self.shard_builds += 1
-            counter = self._shard_counter
-        if counter is not None:
-            counter.inc()
-
-    def record_eviction(self) -> None:
-        with self._lock:
-            self.evictions += 1
-            counter = self._eviction_counter
-        if counter is not None:
-            counter.inc()
-
-    def record_delta_hit(self) -> None:
-        with self._lock:
-            self.delta_hits += 1
-            counter = self._delta_hit_counter
-        if counter is not None:
-            counter.inc()
-
-    def record_delta_reject(self) -> None:
-        with self._lock:
-            self.delta_rejects += 1
-            counter = self._delta_reject_counter
-        if counter is not None:
-            counter.inc()
+            counter.inc(**_labels(name))
 
     def record_build_ms(self, kind: str, duration_ms: float) -> None:
-        """Windowed build-duration sample (``kind`` = trace|fused)."""
+        """Windowed build-duration sample
+        (``kind`` = trace|fused|shard|retarget)."""
         with self._lock:
             window = self._build_window
         if window is not None:
@@ -284,13 +220,9 @@ class PlanCacheStats:
         return 100.0 * self.hits / total if total else 0.0
 
     def __repr__(self) -> str:
-        return (f"PlanCacheStats(hits={self.hits}, misses={self.misses}, "
-                f"trace_builds={self.trace_builds}, "
-                f"fused_builds={self.fused_builds}, "
-                f"shard_builds={self.shard_builds}, "
-                f"evictions={self.evictions}, "
-                f"delta_hits={self.delta_hits}, "
-                f"delta_rejects={self.delta_rejects})")
+        fields = ", ".join(f"{name}={getattr(self, name)}"
+                           for name in _COUNTERS)
+        return f"PlanCacheStats({fields})"
 
 
 class PlanCache:
@@ -406,35 +338,28 @@ class PlanCache:
         tile = (int(tile[0]), int(tile[1]))
         key = self._trace_key(offsets_digest(offset), cfg, spec, fp16, plan)
         stats_key = (tile, int(concurrent_layers))
+        delta = session is not None and self.delta_bound is not None
         with self._lock:
             entry = self._entries.get(key)
             if entry is not None:
                 self._entries.move_to_end(key)
                 cached = entry.stats.get(stats_key)
                 if cached is not None:
-                    self.stats.record_hit()
-                    if session is not None and self.delta_bound is not None:
+                    self.stats._record("hits")
+                    if delta:
                         self._set_anchor(session, key, offset)
                     return cached
-        # Delta-keying only applies on an exact-digest miss; a known
-        # digest with an unseen (tile, concurrency) combination is a
-        # plain miss that simulates against its own trace.
-        if entry is None and session is not None \
-                and self.delta_bound is not None:
+        if delta:
             anchored = self._probe_anchor(session, key, offset)
             if anchored is not None:
-                result = self._anchored_tile(anchored, cfg, spec, tile,
-                                             plan, stats_key,
-                                             int(concurrent_layers))
-                self.stats.record_delta_hit()
-                return result
-        self.stats.record_miss()
-        entry = self._acquire_entry(key, cfg, spec, plan, positions)
-        result = self._simulate_tile(entry, cfg, spec, tile, plan,
-                                     int(concurrent_layers))
-        with self._lock:
-            entry.stats.setdefault(stats_key, result)
-            if session is not None and self.delta_bound is not None:
+                self.stats._record("delta_hits")
+                return self._tile_stats(anchored[1], cfg, spec, tile, plan,
+                                        stats_key)
+        self.stats._record("misses")
+        entry = self._entry(key, cfg, spec, plan, positions)
+        result = self._tile_stats(entry, cfg, spec, tile, plan, stats_key)
+        if delta:
+            with self._lock:
                 self._set_anchor(session, key, offset)
         return result
 
@@ -464,12 +389,17 @@ class PlanCache:
                       ) -> Optional[Tuple[_SessionAnchor, _TraceEntry]]:
         """The delta probe: (anchor, its live entry) iff within bound.
 
-        Returns None — and counts a reject when an anchor actually lost —
-        on: no anchor yet, anchor entry already evicted (the stream must
-        re-anchor), or quantised delta over the bound.
+        Delta-keying only applies on an exact-digest miss: a known digest
+        with an unseen tile or plan is a plain miss served from its own
+        entry.  Returns None — and counts a reject when an anchor actually
+        lost — on: a known digest, no anchor yet, anchor entry already
+        evicted (the stream must re-anchor), or quantised delta over the
+        bound.
         """
         akey = self._anchor_key(session, key, offset)
         with self._lock:
+            if key in self._entries:
+                return None
             anchor = self._anchors.get(akey)
             if anchor is None:
                 return None
@@ -485,22 +415,23 @@ class PlanCache:
             delta = float(np.max(np.abs(offset - anchor.offset))) \
                 if offset.size else 0.0
             if delta > self.delta_bound:
-                self.stats.record_delta_reject()
+                self.stats._record("delta_rejects")
                 return None
             self._entries.move_to_end(anchor.key)
             return anchor, entry
 
-    def _anchored_tile(self, anchored, cfg, spec, tile, plan, stats_key,
-                       concurrent_layers):
-        """Per-tile stats through the anchor's trace (new tiles simulate
-        against the anchor's fetch trace — still no trace rebuild)."""
-        _, entry = anchored
+    def _tile_stats(self, entry: _TraceEntry, cfg: LayerConfig,
+                    spec: DeviceSpec, tile: Tuple[int, int],
+                    plan: SamplePlan, stats_key: tuple
+                    ) -> Tuple[TextureCacheStats, float]:
+        """Per-tile stats through an entry's trace (new tiles simulate
+        against the memoised fetch trace — no trace rebuild)."""
         with self._lock:
             cached = entry.stats.get(stats_key)
         if cached is not None:
             return cached
         result = self._simulate_tile(entry, cfg, spec, tile, plan,
-                                     concurrent_layers)
+                                     stats_key[1])
         with self._lock:
             return entry.stats.setdefault(stats_key, result)
 
@@ -529,63 +460,24 @@ class PlanCache:
         """
         plan = plan or SamplePlan()
         key = self._trace_key(offsets_digest(offset), cfg, spec, fp16, plan)
-        fkey = (cfg.in_channels, cfg.out_channels)
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is not None:
-                self._entries.move_to_end(key)
-                fused = entry.fused.get(fkey)
-                if fused is not None:
-                    self.stats.record_hit()
-                    if session is not None and self.delta_bound is not None:
-                        self._set_anchor(session, key, offset)
-                    return fused
-        # Delta-keying only applies on an exact-digest miss — a known
-        # digest compiles its own plan on the shared entry.
-        if entry is None and session is not None \
-                and self.delta_bound is not None:
+        pkey = (cfg.in_channels, cfg.out_channels)
+        delta = session is not None and self.delta_bound is not None
+        if delta:
             anchored = self._probe_anchor(session, key, offset)
             if anchored is not None:
-                return self._retarget_fused(anchored[0], cfg, spec, fp16,
-                                            positions, fkey)
-        guard = (key, "fused", fkey)
-        while True:
+                return self._retarget_fused(anchored[0], cfg, fp16,
+                                            positions, pkey)
+        fused = self._compiled(
+            key, pkey, "fused", cfg, spec, plan, positions,
+            lambda: build_fused_plan(cfg, spec, fp16, positions))
+        if delta:
             with self._lock:
-                entry = self._entries.get(key)
-                if entry is not None:
-                    self._entries.move_to_end(key)
-                    fused = entry.fused.get(fkey)
-                    if fused is not None:
-                        self.stats.record_hit()
-                        if session is not None \
-                                and self.delta_bound is not None:
-                            self._set_anchor(session, key, offset)
-                        return fused
-                event = self._building.get(guard)
-                if event is None:
-                    event = threading.Event()
-                    self._building[guard] = event
-                    break
-            event.wait()
-        try:
-            self.stats.record_miss()
-            entry = self._acquire_entry(
-                key, cfg, spec, plan,
-                lambda: tuple(p[0, 0] for p in positions()))
-            fused = self._build_fused(cfg, spec, fp16, positions)
-            with self._lock:
-                fused = entry.fused.setdefault(fkey, fused)
-                if session is not None and self.delta_bound is not None:
-                    self._set_anchor(session, key, offset)
-        finally:
-            with self._lock:
-                self._building.pop(guard, None)
-            event.set()
+                self._set_anchor(session, key, offset)
         return fused
 
     def _retarget_fused(self, anchor: _SessionAnchor, cfg: LayerConfig,
-                        spec: DeviceSpec, fp16: bool, positions,
-                        fkey: Tuple[int, int]) -> FusedPlan:
+                        fp16: bool, positions,
+                        pkey: Tuple[int, int]) -> FusedPlan:
         """Serve a fused delta hit from the session-owned plan.
 
         The first delta hit of a stream allocates the session's plan (one
@@ -596,25 +488,24 @@ class PlanCache:
         t0 = time.perf_counter()
         py, px = positions()
         idx, wts = tap_tables(py, px, cfg.height, cfg.width, fp16)
-        fused = anchor.plans.get(fkey)
+        fused = anchor.plans.get(pkey)
         if fused is None:
             fused = FusedPlan(cfg, fp16, idx, wts)
             with self._lock:
-                fused = anchor.plans.setdefault(fkey, fused)
+                fused = anchor.plans.setdefault(pkey, fused)
         else:
             fused.retarget(idx, wts)
-        self.stats.record_delta_hit()
+        self.stats._record("delta_hits")
         self.stats.record_build_ms("retarget",
                                    (time.perf_counter() - t0) * 1e3)
         return fused
 
-    # ------------------------------------------------------------------
     def shard_plan(self, offset: np.ndarray, cfg: LayerConfig,
                    spec: DeviceSpec, fp16: bool,
                    plan: Optional[SamplePlan], shard: ShardSpec,
                    positions: Callable[[], Tuple[np.ndarray, np.ndarray]]
-                   ) -> ShardGatherPlan:
-        """Get-or-compile the gather plan for one shard of one layer.
+                   ) -> FusedPlan:
+        """Get-or-compile the shard-window plan for one shard of one layer.
 
         Keyed off the **full-layer** trace entry (full-offset digest +
         geometry), with the shard descriptor — kind, index/count and the
@@ -626,113 +517,93 @@ class PlanCache:
         """
         plan = plan or SamplePlan()
         key = self._trace_key(offsets_digest(offset), cfg, spec, fp16, plan)
-        skey = (shard.descriptor(), cfg.in_channels)
-        guard = (key, "shard", skey)
+        return self._compiled(
+            key, (shard.descriptor(), cfg.in_channels), "shard", cfg, spec,
+            plan, positions,
+            lambda: build_fused_plan(cfg, spec, fp16, positions, shard),
+            shard=shard.label())
+
+    def _compiled(self, key: tuple, pkey: tuple, kind: str,
+                  cfg: LayerConfig, spec: DeviceSpec, plan: SamplePlan,
+                  positions: Callable[[], Tuple[np.ndarray, np.ndarray]],
+                  builder: Callable[[], FusedPlan], **span_args
+                  ) -> FusedPlan:
+        """One compiled-plan lookup: the plan ``pkey`` on the trace entry
+        for ``key`` (built first if missing), counted as a hit or miss."""
+        entry = self._entry(key, cfg, spec, plan,
+                            lambda: tuple(p[0, 0] for p in positions()))
+        compiled, built = self._get_or_build(key, pkey, kind, cfg, builder,
+                                             entry=entry, **span_args)
+        self.stats._record("misses" if built else "hits")
+        return compiled
+
+    def _entry(self, key: tuple, cfg: LayerConfig, spec: DeviceSpec,
+               plan: SamplePlan,
+               positions: Callable[[], Tuple[np.ndarray, np.ndarray]]
+               ) -> _TraceEntry:
+        """Get-or-build the trace entry for ``key``."""
+        return self._get_or_build(
+            key, None, "trace", cfg,
+            lambda: self._build_entry(cfg, spec, plan, positions))[0]
+
+    # ------------------------------------------------------------------
+    def _get_or_build(self, key: tuple, subkey: Optional[tuple], kind: str,
+                      cfg: LayerConfig, builder: Callable[[], object],
+                      entry: Optional[_TraceEntry] = None, **span_args
+                      ) -> Tuple[object, bool]:
+        """Get-or-build one memoised object, coalescing concurrent misses.
+
+        ``subkey=None`` addresses the LRU trace entry for ``key``;
+        otherwise the compiled plan ``subkey`` inside ``entry`` (the
+        acquired entry for ``key``).  The first thread to miss builds
+        under a per-(key, subkey) in-flight event and the rest wait, so
+        each build — and its ``<kind>_builds`` counter, ``plancache.
+        build_<kind>`` span and ``plan_cache_build_ms{kind}`` sample —
+        happens exactly once.  Returns ``(value, built_by_this_call)``.
+        """
+        table, tkey = ((self._entries, key) if subkey is None
+                       else (entry.plans, subkey))
+        guard = (key, subkey)
         while True:
             with self._lock:
-                entry = self._entries.get(key)
-                if entry is not None:
-                    self._entries.move_to_end(key)
-                    gplan = entry.shards.get(skey)
-                    if gplan is not None:
-                        self.stats.record_hit()
-                        return gplan
+                value = table.get(tkey)
+                if value is not None:
+                    if subkey is None:
+                        self._entries.move_to_end(key)
+                    return value, False
                 event = self._building.get(guard)
                 if event is None:
                     event = threading.Event()
                     self._building[guard] = event
-                    break
-            event.wait()
-        try:
-            self.stats.record_miss()
-            entry = self._acquire_entry(
-                key, cfg, spec, plan,
-                lambda: tuple(p[0, 0] for p in positions()))
-            gplan = self._build_shard(cfg, fp16, shard, positions)
-            with self._lock:
-                gplan = entry.shards.setdefault(skey, gplan)
-        finally:
-            with self._lock:
-                self._building.pop(guard, None)
-            event.set()
-        return gplan
-
-    def _build_shard(self, cfg: LayerConfig, fp16: bool, shard: ShardSpec,
-                     positions) -> ShardGatherPlan:
-        self.stats.record_shard_build()
-        t0 = time.perf_counter()
-        try:
-            if self.tracer is not None:
-                with self.tracer.span("plancache.build_shard",
-                                      cat="plancache",
-                                      geometry=cfg.label(),
-                                      shard=shard.label()):
-                    return build_shard_gather_plan(cfg, fp16, shard,
-                                                   positions)
-            return build_shard_gather_plan(cfg, fp16, shard, positions)
-        finally:
-            self.stats.record_build_ms(
-                "shard", (time.perf_counter() - t0) * 1e3)
-
-    def _build_fused(self, cfg: LayerConfig, spec: DeviceSpec, fp16: bool,
-                     positions) -> FusedPlan:
-        self.stats.record_fused_build()
-        t0 = time.perf_counter()
-        try:
-            if self.tracer is not None:
-                with self.tracer.span("plancache.build_fused",
-                                      cat="plancache",
-                                      geometry=cfg.label()):
-                    return build_fused_plan(cfg, spec, fp16, positions)
-            return build_fused_plan(cfg, spec, fp16, positions)
-        finally:
-            self.stats.record_build_ms(
-                "fused", (time.perf_counter() - t0) * 1e3)
-
-    # ------------------------------------------------------------------
-    def _acquire_entry(self, key: tuple, cfg: LayerConfig, spec: DeviceSpec,
-                       plan: SamplePlan,
-                       positions: Callable[[], Tuple[np.ndarray, np.ndarray]]
-                       ) -> _TraceEntry:
-        """Get-or-build the trace entry for ``key``, coalescing misses.
-
-        Concurrent misses on the same key used to race ``_build_entry``
-        and double-count ``trace_builds`` (one build discarded by
-        ``setdefault``); now the first thread builds under a per-key
-        in-flight event and the rest wait, so the build — and its
-        observability counter — happens exactly once per distinct key.
-        """
-        while True:
-            with self._lock:
-                entry = self._entries.get(key)
-                if entry is not None:
-                    self._entries.move_to_end(key)
-                    return entry
-                event = self._building.get(key)
-                if event is None:
-                    event = threading.Event()
-                    self._building[key] = event
                     break
             # Another thread is building this key — wait, then re-check
             # (looping guards against builder failure or instant
             # eviction, in which case we become the builder).
             event.wait()
         try:
-            entry = self._build_entry(cfg, spec, plan, positions)
+            self.stats._record(f"{kind}_builds")
+            t0 = time.perf_counter()
+            try:
+                with self._span(f"plancache.build_{kind}", cfg, **span_args):
+                    value = builder()
+            finally:
+                self.stats.record_build_ms(
+                    kind, (time.perf_counter() - t0) * 1e3)
             with self._lock:
-                entry = self._entries.setdefault(key, entry)
-                self._entries.move_to_end(key)
-                while len(self._entries) > self.max_entries:
-                    self._entries.popitem(last=False)
-                    # eviction used to be silent; under many concurrent
-                    # streams it is the signal that max_entries is too
-                    # small for the live anchor set
-                    self.stats.record_eviction()
+                value = table.setdefault(tkey, value)
+                if subkey is None:
+                    table.move_to_end(key)
+                    while len(table) > self.max_entries:
+                        table.popitem(last=False)
+                        # counted: under many concurrent streams an
+                        # eviction is the signal that max_entries is too
+                        # small for the live anchor set
+                        self.stats._record("evictions")
         finally:
             with self._lock:
-                self._building.pop(key, None)
+                self._building.pop(guard, None)
             event.set()
-        return entry
+        return value, True
 
     # ------------------------------------------------------------------
     def _build_entry(self, cfg: LayerConfig, spec: DeviceSpec,
@@ -740,21 +611,6 @@ class PlanCache:
                      positions: Callable[[], Tuple[np.ndarray, np.ndarray]]
                      ) -> _TraceEntry:
         """Build the tile-independent trace state (the expensive half)."""
-        t0 = time.perf_counter()
-        try:
-            if self.tracer is not None:
-                with self.tracer.span("plancache.build_trace",
-                                      cat="plancache",
-                                      geometry=cfg.label()):
-                    return self._build_entry_inner(cfg, spec, plan,
-                                                   positions)
-            return self._build_entry_inner(cfg, spec, plan, positions)
-        finally:
-            self.stats.record_build_ms(
-                "trace", (time.perf_counter() - t0) * 1e3)
-
-    def _build_entry_inner(self, cfg, spec, plan, positions) -> _TraceEntry:
-        self.stats.record_trace_build()
         py, px = positions()
         k, l = py.shape
         y0 = np.floor(py).ravel().astype(np.int64)
@@ -768,34 +624,34 @@ class PlanCache:
             pixel = np.broadcast_to(np.arange(l), (k, l)).ravel()
             model = TextureCacheModel(spec)
             lines = model.precompute(y0, x0, pixel, cfg.height, cfg.width)
+        # The trace may cover a row band of the layer (a shard), so its
+        # output height comes from the trace, not from ``cfg``.
         return _TraceEntry(y0=y0, x0=x0, lines=lines, k=k, l=l,
-                           out_h=cfg.out_height, out_w=cfg.out_width)
+                           out_h=l // cfg.out_width, out_w=cfg.out_width)
+
+    def _span(self, name: str, cfg: LayerConfig, **attrs):
+        """A ``plancache`` tracer span, or a no-op without a tracer."""
+        if self.tracer is None:
+            return contextlib.nullcontext()
+        return self.tracer.span(name, cat="plancache", geometry=cfg.label(),
+                                **attrs)
 
     def _simulate_tile(self, entry: _TraceEntry, cfg: LayerConfig,
                        spec: DeviceSpec, tile: Tuple[int, int],
                        plan: SamplePlan, concurrent_layers: int
                        ) -> Tuple[TextureCacheStats, float]:
         """Simulate one CTA tiling against a cached trace entry."""
-        if self.tracer is not None:
-            with self.tracer.span("plancache.retile", cat="plancache",
-                                  geometry=cfg.label(),
-                                  tile=f"{tile[0]}x{tile[1]}"):
-                return self._simulate_tile_inner(entry, cfg, spec, tile,
-                                                 plan, concurrent_layers)
-        return self._simulate_tile_inner(entry, cfg, spec, tile, plan,
-                                         concurrent_layers)
-
-    def _simulate_tile_inner(self, entry, cfg, spec, tile, plan,
-                             concurrent_layers):
-        model = TextureCacheModel(spec, concurrent_layers=concurrent_layers)
-        cta_of_pixel = cta_ids_for_tile(entry.out_h, entry.out_w, tile)
-        if entry.lines is not None:
-            return model.simulate_retiled(entry.lines, cta_of_pixel), 1.0
-        # Sampled trace: CTA sampling depends on the tile, so replay it
-        # exactly as texture_fetch_trace would (bit-identical fallback).
-        cta = np.broadcast_to(cta_of_pixel,
-                              (entry.k, entry.l)).ravel()
-        y0, x0, cta, scale = sample_trace_ctas(entry.y0, entry.x0, cta,
-                                               entry.k * entry.l, plan)
-        stats = model.simulate(y0, x0, cta, cfg.height, cfg.width)
-        return stats, scale
+        with self._span("plancache.retile", cfg, tile=f"{tile[0]}x{tile[1]}"):
+            model = TextureCacheModel(spec,
+                                      concurrent_layers=concurrent_layers)
+            cta_of_pixel = cta_ids_for_tile(entry.out_h, entry.out_w, tile)
+            if entry.lines is not None:
+                return model.simulate_retiled(entry.lines, cta_of_pixel), 1.0
+            # Sampled trace: CTA sampling depends on the tile, so replay
+            # it exactly as texture_fetch_trace would (bit-identical
+            # fallback).
+            cta = np.broadcast_to(cta_of_pixel, (entry.k, entry.l)).ravel()
+            y0, x0, cta, scale = sample_trace_ctas(entry.y0, entry.x0, cta,
+                                                   entry.k * entry.l, plan)
+            stats = model.simulate(y0, x0, cta, cfg.height, cfg.width)
+            return stats, scale

@@ -50,12 +50,7 @@ def run_reference(x: np.ndarray, offset: np.ndarray, weight: np.ndarray,
         cols, _ = deform_im2col_arrays(
             x, offset, cfg.kernel_size, cfg.stride, cfg.padding,
             cfg.dilation, cfg.deformable_groups)
-        w2 = weight.reshape(cfg.out_channels, c * k)
-        out = np.einsum("ok,nkl->nol", w2, cols, optimize=True)
-        output = out.reshape(n, cfg.out_channels, cfg.out_height,
-                             cfg.out_width)
-        if bias is not None:
-            output = output + bias.reshape(1, -1, 1, 1)
+        output = contract(weight, cols, bias, cfg)
 
     # ------------------------------------------------------------------
     # performance model: kernel 1 — deformable_im2col
@@ -111,20 +106,49 @@ def run_reference(x: np.ndarray, offset: np.ndarray, weight: np.ndarray,
         dram_write_bytes=col_bytes,
     )
 
-    # ------------------------------------------------------------------
     # kernel 2 — implicit GEMM (identical across backends)
-    # ------------------------------------------------------------------
-    gemm = gemm_cost(cfg.out_channels, n * l, c * k)
-    gemm_launch = LaunchConfig(
-        grid=max(1, -(-(cfg.out_channels * n * l) // (128 * 64))), block=256)
-    gemm_stats = KernelStats(
-        name="implicit_gemm",
-        duration_ms=estimate_time_ms(gemm, gemm_launch, spec),
+    gemm_stats = implicit_gemm_stats(cfg.out_channels, n * l, c * k, spec)
+    return OpResult(output=output, kernels=[sample_stats, gemm_stats])
+
+
+def contract(weight: np.ndarray, cols: np.ndarray,
+             bias: Optional[np.ndarray], cfg: LayerConfig,
+             out: Optional[np.ndarray] = None) -> np.ndarray:
+    """The implicit GEMM every backend ends in: filter × (N, C·K, L) columns.
+
+    One routine for the reference, eager texture, fused and stitched-shard
+    paths, so they all share one einsum expression — and therefore one
+    reduction order and the same output bits.  ``out`` is an optional
+    preallocated (N, OC, L) buffer; the returned (N, OC, OH, OW) array is
+    always fresh, never a view of it.
+    """
+    w2 = weight.reshape(cfg.out_channels, cfg.in_channels * cfg.taps)
+    res = np.einsum("ok,nkl->nol", w2, cols, optimize=True, out=out)
+    out4 = res.reshape(cfg.batch, cfg.out_channels, cfg.out_height,
+                       cfg.out_width)
+    if bias is not None:
+        return out4 + bias.reshape(1, -1, 1, 1)
+    return out4 if out is None else out4.copy()
+
+
+def implicit_gemm_stats(m: int, n: int, k: int, spec: DeviceSpec,
+                        name: str = "implicit_gemm",
+                        write_bytes: float = 0.0) -> KernelStats:
+    """KernelStats of one (m × k)·(k × n) implicit-GEMM launch.
+
+    The filter (OC × C·K) times the column matrix (C·K × N·L) for a whole
+    layer, or the corresponding slice of it for one shard.
+    """
+    gemm = gemm_cost(m, n, k)
+    launch = LaunchConfig(grid=max(1, -(-(m * n) // (128 * 64))), block=256)
+    loads = strided_stats(max(1, int(gemm.dram_bytes // 4)), 4, spec)
+    return KernelStats(
+        name=name,
+        duration_ms=estimate_time_ms(gemm, launch, spec),
         flop_count_sp=gemm.flops,
-        gld_requests=strided_stats(int(gemm.dram_bytes // 4), 4, spec).requests,
-        gld_transactions=strided_stats(int(gemm.dram_bytes // 4), 4,
-                                       spec).transactions,
+        gld_requests=loads.requests,
+        gld_transactions=loads.transactions,
         gld_bytes_requested=gemm.dram_bytes,
         dram_read_bytes=gemm.dram_bytes,
+        dram_write_bytes=write_bytes,
     )
-    return OpResult(output=output, kernels=[sample_stats, gemm_stats])

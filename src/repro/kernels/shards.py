@@ -21,13 +21,17 @@ sliced weights or columns — is **not** bit-identical: BLAS picks
 different reduction orders for small shapes, and summing partial
 products reorders the accumulation.  Slice the columns, never the GEMM.)
 
-Each shard's gather is compiled into a :class:`ShardGatherPlan` via the
-same :func:`~repro.kernels.fused.tap_tables` step as the fused full-layer
-plan, memoised on the layer's :class:`~repro.kernels.plancache.PlanCache`
-trace entry (one digest key, one LRU lifetime).  Per-shard KernelStats
-reuse the plan-cache texture simulation: a row band simulates its sliced
-fetch trace; a channel slice *shares the full-layer trace entry* and
-scales the counters by its channel fraction.
+Each shard's gather is the one compiled plan of the texture path — a
+:class:`~repro.kernels.fused.FusedPlan` built with the shard as its
+window (:func:`~repro.kernels.fused.build_fused_plan` slices the
+positions of a row band before the tap tables are built) — memoised on
+the layer's :class:`~repro.kernels.plancache.PlanCache` trace entry next
+to the whole-layer plan (one digest key, one LRU lifetime).  Per-shard
+KernelStats come from the same sampling-kernel model as
+:func:`~repro.kernels.tex2d.run_tex2d`, restricted to the shard's
+window: a row band simulates its sliced fetch trace; a channel slice
+*shares the full-layer trace entry* and scales the counters by its
+channel fraction.
 
 Traffic accounting for the interconnect model is computed here from the
 actual tap footprint: a row band's input bytes span exactly the input
@@ -37,22 +41,21 @@ of the :func:`~repro.kernels.tiling.deformation_halo` planning bound.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.gpusim.device import DeviceSpec
-from repro.gpusim.kernel import (KernelCost, LaunchConfig, estimate_time_ms,
-                                 gemm_cost)
+from repro.gpusim.kernel import KernelCost, LaunchConfig, estimate_time_ms
 from repro.gpusim.memory import strided_stats
 from repro.gpusim.profiler import KernelStats
 from repro.gpusim.trace import SamplePlan
 from repro.kernels.config import LayerConfig, OpResult
-from repro.kernels.fused import tap_tables
-from repro.kernels.reference import COORD_FLOPS
-from repro.kernels.tex2d import DEFAULT_TILE
+from repro.kernels.fused import build_fused_plan
+from repro.kernels.reference import contract, implicit_gemm_stats
+from repro.kernels.tex2d import (DEFAULT_TILE, launch_inputs,
+                                 sample_kernel_stats)
 
 #: Shard kinds the planner may emit.
 SHARD_KINDS = ("rows", "channels")
@@ -131,118 +134,6 @@ def enumerate_shards(cfg: LayerConfig, kind: str,
     return shards
 
 
-class ShardGatherPlan:
-    """One compiled gather for one (offsets, geometry, shard) triple.
-
-    The shard-sized sibling of :class:`~repro.kernels.fused.FusedPlan`:
-    tap tables from :func:`~repro.kernels.fused.tap_tables` (on the
-    position slice for a row band, the full positions for a channel
-    slice) plus preallocated gather buffers.  :meth:`execute` replays the
-    fused gather/blend verbatim on the slice, so the produced columns
-    are bitwise the corresponding slice of the full column matrix.
-    """
-
-    def __init__(self, cfg: LayerConfig, shard: ShardSpec, fp16: bool,
-                 idx: np.ndarray, wts: np.ndarray):
-        n, dg = cfg.batch, cfg.deformable_groups
-        cpg = cfg.in_channels // dg
-        k = cfg.taps
-        self.cfg = cfg
-        self.shard = shard
-        self.fp16 = bool(fp16)
-        self.n, self.dg, self.cpg = n, dg, cpg
-        self.hw = cfg.height * cfg.width
-        if shard.kind == "rows":
-            self.c0, self.c1 = 0, cpg
-            self.l0 = shard.lo * cfg.out_width
-            self.l1 = shard.hi * cfg.out_width
-        else:
-            if shard.hi > cpg:
-                raise ValueError(f"channel shard {shard.label()} exceeds "
-                                 f"channels-per-group {cpg}")
-            self.c0, self.c1 = shard.lo, shard.hi
-            self.l0, self.l1 = 0, cfg.out_pixels
-        self.csel = self.c1 - self.c0
-        self.lsel = self.l1 - self.l0
-        self.s = k * self.lsel
-        #: (4, n·dg, S) flat corner texel indices / (4, n·dg, 1, S) weights
-        self.idx = idx
-        self.wts = wts
-        #: destination rows of the full column matrix (channel shards)
-        if shard.kind == "channels":
-            self.dest_rows = np.concatenate([
-                np.arange((g * cpg + self.c0) * k, (g * cpg + self.c1) * k)
-                for g in range(dg)])
-        else:
-            self.dest_rows = None
-        self.cols = np.empty((n, dg * self.csel * k, self.lsel),
-                             dtype=np.float32)
-        self._cols_bg = self.cols.reshape(n * dg, self.csel, self.s)
-        self.corner = np.empty((self.csel, self.s), dtype=np.float32)
-        self._lock = threading.Lock()
-
-    @property
-    def nbytes(self) -> int:
-        return (self.idx.nbytes + self.wts.nbytes + self.cols.nbytes
-                + self.corner.nbytes)
-
-    def execute(self, x: np.ndarray) -> np.ndarray:
-        """Gather/blend this shard's column slice from the full input.
-
-        The buffer is reused across calls — callers must consume (stitch)
-        it before executing the same plan again.  Execution is against
-        the *full* input feature map: border addressing is resolved in
-        the tap tables against full-image extents, so a physically
-        cropped input would change semantics; the interconnect model
-        charges only the halo rows actually touched (``in_bytes`` of
-        :class:`ShardResult`), not what this simulation holds in memory.
-        """
-        cfg = self.cfg
-        if x.shape != cfg.input_shape():
-            raise ValueError(f"shard plan compiled for input "
-                             f"{cfg.input_shape()}, got {x.shape}")
-        xf = np.ascontiguousarray(x, dtype=np.float32).reshape(
-            self.n * self.dg, self.cpg, self.hw)
-        with self._lock:
-            cols, corner = self._cols_bg, self.corner
-            for b in range(self.n * self.dg):
-                xb, acc = xf[b, self.c0:self.c1], cols[b]
-                np.take(xb, self.idx[0, b], axis=1, out=acc, mode="clip")
-                acc *= self.wts[0, b]
-                for q in (1, 2, 3):
-                    np.take(xb, self.idx[q, b], axis=1, out=corner,
-                            mode="clip")
-                    np.multiply(corner, self.wts[q, b], out=corner)
-                    acc += corner
-            return self.cols
-
-
-def build_shard_gather_plan(
-        cfg: LayerConfig, fp16: bool, shard: ShardSpec,
-        positions: Callable[[], Tuple[np.ndarray, np.ndarray]]
-        ) -> ShardGatherPlan:
-    """Compile a :class:`ShardGatherPlan` from the full sampling positions.
-
-    A row band slices the position arrays along L before building its
-    tables; a channel slice keeps the full positions (all channels of a
-    group share them).  Both go through the shared
-    :func:`~repro.kernels.fused.tap_tables` step, so the tables are
-    bitwise slices of the full-layer tables.
-    """
-    if cfg.in_channels % cfg.deformable_groups:
-        raise ValueError(f"in_channels {cfg.in_channels} not divisible by "
-                         f"deformable_groups {cfg.deformable_groups}")
-    py, px = positions()
-    if shard.kind == "rows":
-        if shard.hi > cfg.out_height:
-            raise ValueError(f"row shard {shard.label()} exceeds "
-                             f"out_height {cfg.out_height}")
-        l0, l1 = shard.lo * cfg.out_width, shard.hi * cfg.out_width
-        py, px = py[..., l0:l1], px[..., l0:l1]
-    idx, wts = tap_tables(py, px, cfg.height, cfg.width, fp16)
-    return ShardGatherPlan(cfg, shard, fp16, idx, wts)
-
-
 @dataclass
 class ShardResult:
     """One executed shard: its column slice plus traffic/perf accounting.
@@ -287,146 +178,52 @@ def run_shard(x: np.ndarray, offset: np.ndarray, cfg: LayerConfig,
     """Execute one shard of a deformable layer on one (simulated) device.
 
     The functional half gathers the shard's column slice through a
-    (plan-cache-memoised) :class:`ShardGatherPlan`; the performance half
-    mirrors :func:`~repro.kernels.tex2d.run_tex2d`'s sampling kernel with
-    the launch grid, offset stream and counters restricted to the shard.
-    A channel slice reuses the full-layer plan-cache trace entry and
-    scales counters by its channel fraction; a row band simulates its own
-    sliced trace (top-aligned against the full CTA grid — a deterministic
-    approximation the planner and executor share).
+    (plan-cache-memoised) shard-window
+    :class:`~repro.kernels.fused.FusedPlan`; the performance half is
+    :func:`~repro.kernels.tex2d.run_tex2d`'s sampling-kernel model
+    (:func:`~repro.kernels.tex2d.sample_kernel_stats`) restricted to the
+    shard.  A channel slice reuses the full-layer plan-cache trace entry
+    and scales counters by its channel fraction; a row band simulates its
+    own sliced trace (top-aligned against the full CTA grid — a
+    deterministic approximation the planner and executor share).
     """
     plan = plan or SamplePlan()
-    ty, tx = tile
-    if ty <= 0 or tx <= 0 or ty * tx > spec.max_threads_per_block:
-        raise ValueError(f"tile {tile} invalid for {spec.name}")
+    off, positions = launch_inputs(offset, cfg, spec, tile, fp16_offsets)
     n, c, k = cfg.batch, cfg.in_channels, cfg.taps
-    dg, cpg = cfg.deformable_groups, cfg.in_channels // cfg.deformable_groups
-    h, w = cfg.height, cfg.width
+    dg, h, w = cfg.deformable_groups, cfg.height, cfg.width
 
-    off = offset
-    if fp16_offsets:
-        off = offset.astype(np.float16).astype(np.float32)
-
-    _pos: list = []
-
-    def positions() -> Tuple[np.ndarray, np.ndarray]:
-        if not _pos:
-            from repro.deform.deform_conv import sampling_positions
-            _pos.append(sampling_positions(
-                off, (h, w), cfg.kernel_size, cfg.stride,
-                cfg.padding, cfg.dilation, dg))
-        return _pos[0]
-
-    # ------------------------------------------------------------------
     # functional: the shard's slice of the column matrix
-    # ------------------------------------------------------------------
     if plan_cache is not None:
         gplan = plan_cache.shard_plan(off, cfg, spec, fp16_offsets, plan,
                                       shard, positions)
     else:
-        gplan = build_shard_gather_plan(cfg, fp16_offsets, shard, positions)
-    cols = gplan.execute(x)
+        gplan = build_fused_plan(cfg, spec, fp16_offsets, positions, shard)
+    cols = gplan.gather(x)
 
     csel, lsel = gplan.csel, gplan.lsel
-    band_h = shard.hi - shard.lo if shard.kind == "rows" else cfg.out_height
+    rows = ((shard.lo, shard.hi) if shard.kind == "rows"
+            else (0, cfg.out_height))
+    band_h = rows[1] - rows[0]
     offset_bytes = 2 if fp16_offsets else 4
 
-    # ------------------------------------------------------------------
-    # performance: the sampling kernel restricted to the shard
-    # ------------------------------------------------------------------
-    concurrent_layers = min(cpg, 4)
-    if shard.kind == "rows":
-        # The band's own offsets rows → a distinct trace entry keyed by
-        # the sliced digest (shape is part of the digest, so it can never
-        # alias the full-layer entry).
-        sub_off = np.ascontiguousarray(off[:, :, shard.lo:shard.hi, :])
-        l0 = shard.lo * cfg.out_width
-
-        def rep() -> Tuple[np.ndarray, np.ndarray]:
-            py, px = positions()
-            return (py[0, 0][:, l0:l0 + lsel], px[0, 0][:, l0:l0 + lsel])
-    else:
-        # All channels of a group share the trace — reuse (and warm) the
-        # full-layer entry, scaling counters by the channel fraction.
-        sub_off = off
-
-        def rep() -> Tuple[np.ndarray, np.ndarray]:
-            py, px = positions()
-            return (py[0, 0], px[0, 0])
-
-    if plan_cache is not None:
-        tex_stats, scale = plan_cache.tex_stats(
-            sub_off, cfg, spec, tile, fp16_offsets, plan,
-            concurrent_layers, rep)
-    else:
-        from repro.gpusim.cache import TextureCacheModel
-        from repro.gpusim.trace import texture_fetch_trace
-        py_r, px_r = rep()
-        y0, x0, cta, scale = texture_fetch_trace(py_r, px_r, cfg.out_width,
-                                                 tile, plan)
-        cache = TextureCacheModel(spec, concurrent_layers=concurrent_layers)
-        tex_stats = cache.simulate(y0, x0, cta, h, w)
-    tex_stats = tex_stats.scaled(scale * n * dg * csel)
-
-    channel_blocks = max(1, -(-csel // spec.offset_channel_block))
-    offs = strided_stats(n * 2 * k * lsel * dg, offset_bytes, spec)
-    offs_traffic = offs.bytes_transferred * channel_blocks
-    col_bytes = float(n * dg * csel * k * lsel * 4)
-
-    coord_flops = float(n * dg * csel * k * lsel * COORD_FLOPS)
-    tiles = -(-band_h // ty) * -(-cfg.out_width // tx)
-    launch = LaunchConfig(grid=max(1, tiles * n * dg * channel_blocks),
-                          block=ty * tx)
-    sample_cost = KernelCost(
-        flops=coord_flops,
-        dram_bytes=tex_stats.miss_bytes + offs_traffic,
-        tex_fetches=float(tex_stats.requests),
-        tex_rate_divisor=float(spec.tex_fp32_rate_divisor),
-        cta_prologue_cycles=500.0,
-        compute_efficiency=0.35,
-    )
+    # performance: the sampling kernel restricted to the shard, then the
+    # shard's slice of the GEMM on this shard's device
     name = ("deformable_tex2dpp_shard" if fp16_offsets
             else "deformable_tex2d_shard")
-    sample_stats = KernelStats(
-        name=name,
-        duration_ms=estimate_time_ms(sample_cost, launch, spec),
-        flop_count_sp=coord_flops,
-        gld_requests=offs.requests,
-        gld_transactions=offs.transactions,
-        gld_bytes_requested=offs.bytes_requested,
-        tex_cache_requests=tex_stats.requests,
-        tex_texel_reads=tex_stats.texel_reads,
-        tex_cache_hits=tex_stats.hits,
-        dram_read_bytes=tex_stats.miss_bytes + offs_traffic,
-        dram_write_bytes=col_bytes,
-    )
-
-    # ------------------------------------------------------------------
-    # the shard's slice of the GEMM, on this shard's device
-    # ------------------------------------------------------------------
+    sample_stats = sample_kernel_stats(name, off, positions, cfg, spec,
+                                       tile, fp16_offsets, plan, plan_cache,
+                                       csel, rows)
     if shard.kind == "rows":
-        gemm = gemm_cost(cfg.out_channels, n * lsel, c * k)
+        gemm_k = c * k
         out_bytes = float(n * cfg.out_channels * lsel * 4)
     else:
         # partial product over this slice's reduction rows; the output is
         # full-size and summed at the stitch
-        gemm = gemm_cost(cfg.out_channels, n * cfg.out_pixels,
-                         dg * csel * k)
+        gemm_k = dg * csel * k
         out_bytes = float(n * cfg.out_channels * cfg.out_pixels * 4)
-    gemm_launch = LaunchConfig(
-        grid=max(1, -(-(cfg.out_channels * n * lsel) // (128 * 64))),
-        block=256)
-    gemm_loads = strided_stats(max(1, int(gemm.dram_bytes // 4)), 4, spec)
-    gemm_stats = KernelStats(
-        name="implicit_gemm_shard",
-        duration_ms=estimate_time_ms(gemm, gemm_launch, spec),
-        flop_count_sp=gemm.flops,
-        gld_requests=gemm_loads.requests,
-        gld_transactions=gemm_loads.transactions,
-        gld_bytes_requested=gemm.dram_bytes,
-        dram_read_bytes=gemm.dram_bytes,
-        dram_write_bytes=out_bytes,
-    )
+    gemm_stats = implicit_gemm_stats(cfg.out_channels, n * lsel, gemm_k,
+                                     spec, name="implicit_gemm_shard",
+                                     write_bytes=out_bytes)
 
     # ------------------------------------------------------------------
     # interconnect traffic from the actual tap footprint
@@ -458,8 +255,9 @@ def stitch_columns(results: Sequence[ShardResult], weight: np.ndarray,
 
     The coordinator-side half of a sharded layer, functionally: write
     every column slice into one (N, C·K, L) buffer and contract it with
-    the *same* full-shape einsum expression — and therefore the same
-    reduction order, and the same bits — as the unsharded forward.
+    the *same* :func:`~repro.kernels.reference.contract` call — and
+    therefore the same reduction order, and the same bits — as the
+    unsharded forward.
 
     The returned kernel prices what the coordinator of the distributed
     realisation actually runs: a memory-bound **stitch pass** over the
@@ -472,21 +270,14 @@ def stitch_columns(results: Sequence[ShardResult], weight: np.ndarray,
     cols = np.empty((n, c * k, l), dtype=np.float32)
     covered = 0
     for r in results:
-        if r.dest_rows is not None:
-            cols[:, r.dest_rows, :] = r.cols
-            covered += r.cols.shape[1] * (r.l1 - r.l0)
-        else:
-            cols[:, :, r.l0:r.l1] = r.cols
-            covered += c * k * (r.l1 - r.l0)
+        dest = slice(None) if r.dest_rows is None else r.dest_rows
+        cols[:, dest, r.l0:r.l1] = r.cols
+        covered += r.cols[0].size
     if covered != c * k * l:
         raise ValueError(f"shards cover {covered} of {c * k * l} column "
                          f"elements — the planner emitted a non-tiling "
                          f"split")
-    w2 = weight.reshape(cfg.out_channels, c * k)
-    out = np.einsum("ok,nkl->nol", w2, cols, optimize=True)
-    output = out.reshape(n, cfg.out_channels, cfg.out_height, cfg.out_width)
-    if bias is not None:
-        output = output + bias.reshape(1, -1, 1, 1)
+    output = contract(weight, cols, bias, cfg)
 
     out_bytes = float(n * cfg.out_channels * l * 4)
     gathered = float(sum(r.out_bytes for r in results))

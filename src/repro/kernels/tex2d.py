@@ -23,22 +23,23 @@ fp32 reference is faithfully reproduced (and bounded by tests).
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+import functools
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
 from repro.deform.deform_conv import sampling_positions
 from repro.gpusim.cache import TextureCacheModel
 from repro.gpusim.device import DeviceSpec
-from repro.gpusim.kernel import (KernelCost, LaunchConfig, estimate_time_ms,
-                                 gemm_cost)
+from repro.gpusim.kernel import KernelCost, LaunchConfig, estimate_time_ms
 from repro.gpusim.memory import strided_stats
 from repro.gpusim.profiler import KernelStats
 from repro.gpusim.texture import LayeredTexture2D, TextureDescriptor
 from repro.gpusim.trace import SamplePlan, texture_fetch_trace
 from repro.kernels.config import LayerConfig, OpResult
 from repro.kernels.fused import validate_execution
-from repro.kernels.reference import COORD_FLOPS
+from repro.kernels.reference import (COORD_FLOPS, contract,
+                                     implicit_gemm_stats)
 
 #: Default CTA tile (output pixels per block) — overridden by the autotuner.
 DEFAULT_TILE = (16, 16)
@@ -76,27 +77,9 @@ def run_tex2d(x: np.ndarray, offset: np.ndarray, weight: np.ndarray,
     """
     plan = plan or SamplePlan()
     validate_execution(execution, plan_cache)
-    ty, tx = tile
-    if ty <= 0 or tx <= 0 or ty * tx > spec.max_threads_per_block:
-        raise ValueError(f"tile {tile} invalid for {spec.name}")
+    off, positions = launch_inputs(offset, cfg, spec, tile, fp16_offsets)
     n, c, k, l = cfg.batch, cfg.in_channels, cfg.taps, cfg.out_pixels
     dg, cpg = cfg.deformable_groups, cfg.in_channels // cfg.deformable_groups
-
-    off = offset
-    if fp16_offsets:
-        off = offset.astype(np.float16).astype(np.float32)
-
-    # Sampling positions are needed by the functional path always, but by
-    # the performance model only on a plan-cache miss — compute lazily so
-    # steady-state stats-only calls skip them entirely.
-    _pos: list = []
-
-    def positions() -> Tuple[np.ndarray, np.ndarray]:
-        if not _pos:
-            _pos.append(sampling_positions(
-                off, (cfg.height, cfg.width), cfg.kernel_size, cfg.stride,
-                cfg.padding, cfg.dilation, dg))
-        return _pos[0]
 
     # ------------------------------------------------------------------
     # functional result through the texture unit
@@ -120,52 +103,107 @@ def run_tex2d(x: np.ndarray, offset: np.ndarray, weight: np.ndarray,
         px_f = px.reshape(n, dg, 1, kl)
         vals = tex.fetch_at_pixel_coords(layer[..., None], py_f, px_f)
         cols = vals.reshape(n, dg, cpg, k, l).reshape(n, c * k, l)
-        w2 = weight.reshape(cfg.out_channels, c * k)
-        out = np.einsum("ok,nkl->nol", w2, cols, optimize=True)
-        output = out.reshape(n, cfg.out_channels, cfg.out_height,
-                             cfg.out_width)
-        if bias is not None:
-            output = output + bias.reshape(1, -1, 1, 1)
+        output = contract(weight, cols, bias, cfg)
 
-    # ------------------------------------------------------------------
-    # performance model: kernel 1 — tex2d sampling
-    # ------------------------------------------------------------------
-    concurrent_layers = min(cpg, 4)
+    # kernel 1 — tex2d sampling; kernel 2 — implicit GEMM (identical to
+    # the reference backend)
+    name = "deformable_tex2dpp" if fp16_offsets else "deformable_tex2d"
+    sample_stats = sample_kernel_stats(
+        name, off, positions, cfg, spec, tile, fp16_offsets, plan,
+        plan_cache, cpg, (0, cfg.out_height), session=session)
+    gemm_stats = implicit_gemm_stats(cfg.out_channels, n * l, c * k, spec)
+    return OpResult(output=output, kernels=[sample_stats, gemm_stats])
+
+
+def launch_inputs(offset: np.ndarray, cfg: LayerConfig, spec: DeviceSpec,
+                  tile: Tuple[int, int], fp16_offsets: bool
+                  ) -> Tuple[np.ndarray,
+                             Callable[[], Tuple[np.ndarray, np.ndarray]]]:
+    """Validate the CTA tile; return the sampled offsets + lazy positions.
+
+    The offsets come back fp16-quantised for tex2D++ — the values the
+    texture unit samples through, so also the plan-cache key.  The
+    (N, dg, K, L) sampling positions are needed by the functional path
+    always, but by the performance model only on a plan-cache miss —
+    they are computed on first call so steady-state stats-only calls
+    skip them entirely.
+    """
+    ty, tx = tile
+    if ty <= 0 or tx <= 0 or ty * tx > spec.max_threads_per_block:
+        raise ValueError(f"tile {tile} invalid for {spec.name}")
+    off = offset
+    if fp16_offsets:
+        off = offset.astype(np.float16).astype(np.float32)
+    positions = functools.cache(lambda: sampling_positions(
+        off, (cfg.height, cfg.width), cfg.kernel_size, cfg.stride,
+        cfg.padding, cfg.dilation, cfg.deformable_groups))
+    return off, positions
+
+
+def sample_kernel_stats(name: str, off: np.ndarray,
+                        positions: Callable[[], Tuple[np.ndarray,
+                                                      np.ndarray]],
+                        cfg: LayerConfig, spec: DeviceSpec,
+                        tile: Tuple[int, int], fp16_offsets: bool,
+                        plan: SamplePlan, plan_cache: Optional["PlanCache"],
+                        csel: int, rows: Tuple[int, int],
+                        session: Optional[str] = None) -> KernelStats:
+    """KernelStats of the tex2D sampling kernel over one layer window.
+
+    The window is ``csel`` input channels per deformable group times the
+    output rows ``rows = (lo, hi)`` — the whole layer for
+    :func:`run_tex2d`, one shard for
+    :func:`~repro.kernels.shards.run_shard`.  Launch grid, offset stream
+    and counters are restricted to the window.  The fetch trace of a row
+    window is the window's own slice (top-aligned against the CTA grid),
+    keyed in the plan cache by its own offset rows — the shape is part of
+    the digest, so a band can never alias the whole-layer entry.  All
+    channels of a group share one trace, so counters scale by ``csel``.
+    """
+    n, k, dg = cfg.batch, cfg.taps, cfg.deformable_groups
+    ty, tx = tile
+    lo, hi = rows
+    band_h = hi - lo
+    l0, l1 = lo * cfg.out_width, hi * cfg.out_width
+    lsel = l1 - l0
+    concurrent_layers = min(cfg.in_channels // dg, 4)
+
+    def rep() -> Tuple[np.ndarray, np.ndarray]:
+        # One representative (batch, group): every (batch, group, channel)
+        # layer's lines are distinct but isomorphic.
+        py, px = positions()
+        return py[0, 0][:, l0:l1], px[0, 0][:, l0:l1]
+
     if plan_cache is not None:
         # Key on the *quantised* offsets (``off``) — the functional path
         # samples through them, so two fp32 offset tensors that quantise
         # to the same fp16 values must share one cache entry and one
         # trace build (they are the same tex2D++ launch).
         tex_stats, scale = plan_cache.tex_stats(
-            off, cfg, spec, tile, fp16_offsets, plan, concurrent_layers,
-            lambda: (positions()[0][0, 0], positions()[1][0, 0]),
-            session=session)
+            off[:, :, lo:hi], cfg, spec, tile, fp16_offsets, plan,
+            concurrent_layers, rep, session=session)
     else:
-        py, px = positions()
-        y0, x0, cta, scale = texture_fetch_trace(py[0, 0], px[0, 0],
-                                                 cfg.out_width, tile, plan)
+        y0, x0, cta, scale = texture_fetch_trace(*rep(), cfg.out_width,
+                                                 tile, plan)
         cache = TextureCacheModel(spec, concurrent_layers=concurrent_layers)
         tex_stats = cache.simulate(y0, x0, cta, cfg.height, cfg.width)
-    # One representative (batch, group, channel); all channels share the
-    # trace, so counters scale by n·dg·cpg (cache behaviour per layer is
-    # identical — each layer's lines are distinct but isomorphic).
-    tex_stats = tex_stats.scaled(scale * n * dg * cpg)
+    tex_stats = tex_stats.scaled(scale * n * dg * csel)
 
     # Channel blocks are spread across the grid's z dimension so channel
     # count contributes parallelism, not per-CTA serialisation.
-    channel_blocks = max(1, -(-cpg // spec.offset_channel_block))
+    channel_blocks = max(1, -(-csel // spec.offset_channel_block))
 
     # Offsets are re-read once per channel block a CTA processes; fp16
     # storage (tex2D++) halves this stream — the paper's bandwidth saving.
     # The re-read count is the *ceil* block count, matching the launch
     # grid: a partial trailing block still issues a full offset read.
     offset_bytes = 2 if fp16_offsets else 4
-    offs = strided_stats(n * 2 * k * l * dg, offset_bytes, spec)
+    offs = strided_stats(n * 2 * k * lsel * dg, offset_bytes, spec)
     offs_traffic = offs.bytes_transferred * channel_blocks
-    col_bytes = float(n * c * k * l * 4)
+    col_bytes = float(n * dg * csel * k * lsel * 4)
 
-    coord_flops = float(n * c * k * l * COORD_FLOPS)
-    tiles = -(-cfg.out_height // ty) * -(-cfg.out_width // tx)
+    coord_flops = float(n * dg * csel * k * lsel * COORD_FLOPS)
+    tiles = -(-band_h // ty) * -(-cfg.out_width // tx)
     launch = LaunchConfig(grid=max(1, tiles * n * dg * channel_blocks),
                           block=ty * tx)
     sample_cost = KernelCost(
@@ -176,8 +214,7 @@ def run_tex2d(x: np.ndarray, offset: np.ndarray, weight: np.ndarray,
         cta_prologue_cycles=500.0,
         compute_efficiency=0.35,
     )
-    name = "deformable_tex2dpp" if fp16_offsets else "deformable_tex2d"
-    sample_stats = KernelStats(
+    return KernelStats(
         name=name,
         duration_ms=estimate_time_ms(sample_cost, launch, spec),
         flop_count_sp=coord_flops,
@@ -190,24 +227,6 @@ def run_tex2d(x: np.ndarray, offset: np.ndarray, weight: np.ndarray,
         dram_read_bytes=tex_stats.miss_bytes + offs_traffic,
         dram_write_bytes=col_bytes,
     )
-
-    # ------------------------------------------------------------------
-    # kernel 2 — implicit GEMM (identical to the reference backend)
-    # ------------------------------------------------------------------
-    gemm = gemm_cost(cfg.out_channels, n * l, c * k)
-    gemm_launch = LaunchConfig(
-        grid=max(1, -(-(cfg.out_channels * n * l) // (128 * 64))), block=256)
-    gemm_loads = strided_stats(int(gemm.dram_bytes // 4), 4, spec)
-    gemm_stats = KernelStats(
-        name="implicit_gemm",
-        duration_ms=estimate_time_ms(gemm, gemm_launch, spec),
-        flop_count_sp=gemm.flops,
-        gld_requests=gemm_loads.requests,
-        gld_transactions=gemm_loads.transactions,
-        gld_bytes_requested=gemm.dram_bytes,
-        dram_read_bytes=gemm.dram_bytes,
-    )
-    return OpResult(output=output, kernels=[sample_stats, gemm_stats])
 
 
 def run_tex2dpp(x: np.ndarray, offset: np.ndarray, weight: np.ndarray,

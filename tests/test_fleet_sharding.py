@@ -17,6 +17,7 @@ from repro.fleet import (EngineCostModel, Interconnect, LinkSpec,
 from repro.fleet.shard import DEFAULT_LINK, _FRACTION_DEN, \
     ShardAssignment, _fractions, _stage_bounds
 from repro.gpusim import RTX_2080TI, XAVIER
+from repro.gpusim.trace import SamplePlan
 from repro.kernels import LayerConfig, PlanCache, run_deform_op, \
     synth_offsets, tile_footprint_bytes
 from repro.kernels.shards import (SHARD_KINDS, ShardSpec, band_bounds,
@@ -368,6 +369,24 @@ class TestShardBitIdentity:
                        for s in shards]
             out = stitch_columns(results, w, b, SMALL, XAVIER).output
             assert np.array_equal(out, base)
+
+    @pytest.mark.parametrize("kind", SHARD_KINDS)
+    def test_plan_cache_matches_uncached_under_sampled_trace(self, kind):
+        """A row band's cached trace entry once kept the full layer's
+        output height, so a sampled trace broadcast a full-plane CTA map
+        onto the band and crashed; cached and uncached runs must agree."""
+        cfg = LayerConfig(8, 8, 20, 20)
+        g = np.random.default_rng(5)
+        x = g.normal(size=cfg.input_shape()).astype(np.float32)
+        off = synth_offsets(cfg, seed=5)
+        plan = SamplePlan(max_fetches=500)
+        for spec in enumerate_shards(cfg, kind, (1.0, 1.0)):
+            cached = run_shard(x, off, cfg, XAVIER, spec, plan=plan,
+                               plan_cache=PlanCache())
+            cold = run_shard(x, off, cfg, XAVIER, spec, plan=plan)
+            assert cached.sample == cold.sample
+            assert cached.gemm == cold.gemm
+            assert np.array_equal(cached.cols, cold.cols)
 
     def test_shard_stats_shape(self, arrays):
         x, off, w, b, _ = arrays

@@ -122,15 +122,6 @@ def _texture_fraction32(pos32: np.ndarray, fp16_coords: bool
     return cell.astype(np.int64), alpha, yb
 
 
-def tex_effective_coords(offset: np.ndarray, cfg: LayerConfig,
-                         fp16: bool) -> Tuple[np.ndarray, np.ndarray]:
-    """Effective (row, col) coordinates the texture path samples at."""
-    py, px = sample_positions32(offset, cfg, fp16_offsets=fp16)
-    _, _, yb = _texture_fraction32(py, fp16)
-    _, _, xb = _texture_fraction32(px, fp16)
-    return yb, xb
-
-
 # ----------------------------------------------------------------------
 # oracle evaluation
 # ----------------------------------------------------------------------

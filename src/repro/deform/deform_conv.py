@@ -22,7 +22,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from repro.tensor import Tensor, backward_op
-from repro.nn.im2col import conv_output_size
+from repro.nn.im2col import conv_output_size, einsum
 
 
 def _base_positions(h: int, w: int, kh: int, kw: int, stride: int,
@@ -168,8 +168,7 @@ def deform_conv2d(x: Tensor, offset: Tensor, weight: Tensor,
         x.data, offset.data, kh, stride, padding, dilation, dg, mask_data)
     l = out_h * out_w
     w2 = weight.data.reshape(c_out, c_in * k)
-    out = np.einsum("ok,nkl->nol", w2, cols, optimize=True)
-    out = out.reshape(n, c_out, out_h, out_w)
+    out = einsum("ok,nkl->nol", w2, cols).reshape(n, c_out, out_h, out_w)
     if bias is not None:
         out = out + bias.data.reshape(1, c_out, 1, 1)
 
@@ -181,9 +180,8 @@ def deform_conv2d(x: Tensor, offset: Tensor, weight: Tensor,
 
     def grad_fn(g):
         g2 = g.reshape(n, c_out, l)
-        grad_w = np.einsum("nol,nkl->ok", g2, cols, optimize=True).reshape(
-            weight.shape)
-        grad_cols = np.einsum("ok,nol->nkl", w2, g2, optimize=True)
+        grad_w = einsum("nol,nkl->ok", g2, cols).reshape(weight.shape)
+        grad_cols = einsum("ok,nol->nkl", w2, g2)
         cpg = saved["cpg"]
         kl = k * l
         # (N, C*K, L) -> (N, dg, cpg, KL)

@@ -26,6 +26,7 @@ from repro.gpusim.memory import strided_stats
 from repro.gpusim.profiler import KernelStats
 from repro.gpusim.trace import SamplePlan, deform_input_coalescing
 from repro.kernels.config import LayerConfig, OpResult
+from repro.nn.im2col import einsum
 
 #: FLOPs per tap for software bilinear: 4 mul + 3 add (paper Section II-B).
 SOFTWARE_INTERP_FLOPS = 7
@@ -117,13 +118,13 @@ def contract(weight: np.ndarray, cols: np.ndarray,
     """The implicit GEMM every backend ends in: filter × (N, C·K, L) columns.
 
     One routine for the reference, eager texture, fused and stitched-shard
-    paths, so they all share one einsum expression — and therefore one
-    reduction order and the same output bits.  ``out`` is an optional
-    preallocated (N, OC, L) buffer; the returned (N, OC, OH, OW) array is
-    always fresh, never a view of it.
+    paths, so they all share one :func:`~repro.nn.im2col.einsum` — and
+    therefore one reduction order and the same output bits.  ``out`` is an
+    optional preallocated (N, OC, L) buffer; the returned (N, OC, OH, OW)
+    array is always fresh, never a view of it.
     """
     w2 = weight.reshape(cfg.out_channels, cfg.in_channels * cfg.taps)
-    res = np.einsum("ok,nkl->nol", w2, cols, optimize=True, out=out)
+    res = einsum("ok,nkl->nol", w2, cols, out=out)
     out4 = res.reshape(cfg.batch, cfg.out_channels, cfg.out_height,
                        cfg.out_width)
     if bias is not None:

@@ -13,7 +13,7 @@ from typing import Optional
 import numpy as np
 
 from repro.tensor import Tensor, backward_op
-from repro.nn.im2col import col2im, conv_output_size, im2col
+from repro.nn.im2col import col2im, conv_output_size, einsum, im2col
 
 
 def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
@@ -35,15 +35,12 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
     out_w = conv_output_size(w, kw, stride, padding, dilation)
 
     cols = im2col(x.data, kh, kw, stride, padding, dilation)  # (N, C*K, L)
-    l = out_h * out_w
+    l, ck, og = out_h * out_w, c_in_g * kh * kw, c_out // groups
     if groups == 1:
-        w2 = weight.data.reshape(c_out, c_in_g * kh * kw)
-        out = np.einsum("ok,nkl->nol", w2, cols, optimize=True)
+        out = einsum("ok,nkl->nol", weight.data.reshape(c_out, ck), cols)
     else:
-        cols_g = cols.reshape(n, groups, c_in_g * kh * kw, l)
-        w_g = weight.data.reshape(groups, c_out // groups, c_in_g * kh * kw)
-        out = np.einsum("gok,ngkl->ngol", w_g, cols_g, optimize=True)
-        out = out.reshape(n, c_out, l)
+        out = einsum("gok,ngkl->ngol", weight.data.reshape(groups, og, ck),
+                     cols.reshape(n, groups, ck, l))
     out = out.reshape(n, c_out, out_h, out_w)
     if bias is not None:
         out = out + bias.data.reshape(1, c_out, 1, 1)
@@ -53,21 +50,18 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
     def grad_fn(g):
         g2 = g.reshape(n, c_out, l)
         if groups == 1:
-            w2_ = weight.data.reshape(c_out, c_in_g * kh * kw)
-            grad_cols = np.einsum("ok,nol->nkl", w2_, g2, optimize=True)
-            grad_w = np.einsum("nol,nkl->ok", g2, cols, optimize=True).reshape(
-                weight.shape
-            )
+            grad_cols = einsum("ok,nol->nkl", weight.data.reshape(c_out, ck),
+                               g2)
+            grad_w = einsum("nol,nkl->ok", g2, cols)
         else:
-            g_g = g2.reshape(n, groups, c_out // groups, l)
-            cols_g_ = cols.reshape(n, groups, c_in_g * kh * kw, l)
-            w_g_ = weight.data.reshape(groups, c_out // groups, c_in_g * kh * kw)
-            grad_cols = np.einsum("gok,ngol->ngkl", w_g_, g_g, optimize=True)
-            grad_cols = grad_cols.reshape(n, c_in * kh * kw, l)
-            grad_w = np.einsum("ngol,ngkl->gok", g_g, cols_g_, optimize=True)
-            grad_w = grad_w.reshape(weight.shape)
-        grad_x = col2im(grad_cols, x.shape, kh, kw, stride, padding, dilation)
-        grads = [grad_x, grad_w]
+            g_g = g2.reshape(n, groups, og, l)
+            grad_cols = einsum("gok,ngol->ngkl",
+                               weight.data.reshape(groups, og, ck), g_g)
+            grad_w = einsum("ngol,ngkl->gok", g_g,
+                            cols.reshape(n, groups, ck, l))
+        grad_x = col2im(grad_cols.reshape(n, c_in * kh * kw, l), x.shape,
+                        kh, kw, stride, padding, dilation)
+        grads = [grad_x, grad_w.reshape(weight.shape)]
         if bias is not None:
             grads.append(g.sum(axis=(0, 2, 3)))
         return grads
@@ -125,7 +119,6 @@ def max_pool2d(x: Tensor, kernel: int = 2, stride: Optional[int] = None) -> Tens
         g2 = g.reshape(n, c, 1, out_h * out_w)
         grad_cols = np.zeros((n, c, kernel * kernel, out_h * out_w), dtype=g.dtype)
         np.put_along_axis(grad_cols, argmax[:, :, None, :], g2, axis=2)
-        grad_cols = grad_cols.reshape(n, c * kernel * kernel, out_h * out_w)
         return (col2im(grad_cols, x.shape, kernel, kernel, stride, 0),)
 
     return backward_op(out, (x,), grad_fn, "max_pool2d")
@@ -143,11 +136,9 @@ def avg_pool2d(x: Tensor, kernel: int = 2, stride: Optional[int] = None) -> Tens
     scale = 1.0 / (kernel * kernel)
 
     def grad_fn(g):
-        g2 = np.broadcast_to(
-            g.reshape(n, c, 1, out_h * out_w) * scale,
-            (n, c, kernel * kernel, out_h * out_w),
-        ).reshape(n, c * kernel * kernel, out_h * out_w)
-        return (col2im(np.ascontiguousarray(g2), x.shape, kernel, kernel, stride, 0),)
+        g2 = np.broadcast_to(g.reshape(n, c, 1, out_h * out_w) * scale,
+                             (n, c, kernel * kernel, out_h * out_w))
+        return (col2im(g2, x.shape, kernel, kernel, stride, 0),)
 
     return backward_op(out, (x,), grad_fn, "avg_pool2d")
 

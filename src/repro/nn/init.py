@@ -36,12 +36,6 @@ def kaiming_uniform(rng: np.random.Generator, shape, gain: float = np.sqrt(2.0)
     return rng.uniform(-bound, bound, size=shape).astype(np.float32)
 
 
-def xavier_uniform(rng: np.random.Generator, shape) -> np.ndarray:
-    fan_in, fan_out = _fan_in_out(shape)
-    bound = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-bound, bound, size=shape).astype(np.float32)
-
-
 def zeros(shape) -> np.ndarray:
     """Zero init — used for offset-predicting convs so a DCN starts as a
     regular convolution (standard practice from Dai et al., kept by DEFCON)."""

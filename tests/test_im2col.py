@@ -1,12 +1,117 @@
-"""im2col / col2im lowering tests."""
+"""im2col / col2im lowering tests, and the memoised-path einsum."""
+
+import itertools
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.nn.im2col import col2im, conv_output_size, im2col, sample_grid
+from repro.nn.im2col import (col2im, conv_output_size, einsum, einsum_path,
+                             im2col)
 
 from helpers import rng
+
+
+# -- bitwise oracles: the fancy-index / np.add.at lowering ------------------
+
+def sample_grid(h, w, kh, kw, stride, padding, dilation=1):
+    """Integer sampling coordinates of every kernel tap at every output pixel.
+
+    Returns ``(rows, cols, out_h, out_w)`` where ``rows``/``cols`` have shape
+    ``(kh*kw, out_h*out_w)`` and index into the *padded* input.
+    """
+    out_h = conv_output_size(h, kh, stride, padding, dilation)
+    out_w = conv_output_size(w, kw, stride, padding, dilation)
+    k_r = np.repeat(np.arange(kh) * dilation, kw)
+    k_c = np.tile(np.arange(kw) * dilation, kh)
+    o_r = stride * np.repeat(np.arange(out_h), out_w)
+    o_c = stride * np.tile(np.arange(out_w), out_h)
+    rows = k_r[:, None] + o_r[None, :]
+    cols = k_c[:, None] + o_c[None, :]
+    return rows, cols, out_h, out_w
+
+
+def reference_im2col(x, kh, kw, stride=1, padding=0, dilation=1):
+    """im2col as one fancy-index gather ``x[:, :, rows, cols]``."""
+    n, c, h, w = x.shape
+    if padding:
+        x = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    rows, cols, out_h, out_w = sample_grid(h, w, kh, kw, stride, padding,
+                                           dilation)
+    patches = x[:, :, rows, cols]
+    return patches.reshape(n, c * kh * kw, out_h * out_w)
+
+
+def reference_col2im(cols, x_shape, kh, kw, stride=1, padding=0, dilation=1):
+    """col2im as one ``np.add.at`` scatter-accumulation."""
+    n, c, h, w = x_shape
+    hp, wp = h + 2 * padding, w + 2 * padding
+    rows, cols_idx, out_h, out_w = sample_grid(h, w, kh, kw, stride, padding,
+                                               dilation)
+    x_padded = np.zeros((n, c, hp, wp), dtype=cols.dtype)
+    patches = cols.reshape(n, c, kh * kw, out_h * out_w)
+    np.add.at(x_padded, (slice(None), slice(None), rows, cols_idx), patches)
+    if padding:
+        return x_padded[:, :, padding:-padding, padding:-padding]
+    return x_padded
+
+
+def _layouts(x):
+    """``x`` in C order and as views of other memory orders."""
+    yield x
+    yield x.transpose(1, 0, 2, 3).copy().transpose(1, 0, 2, 3)  # (C, N, H, W)
+    yield x.transpose(0, 2, 3, 1).copy().transpose(0, 3, 1, 2)  # NHWC
+    yield np.asfortranarray(x)
+
+
+class TestBitwiseOracles:
+    """The strided-tap lowering reproduces the fancy-index gather and the
+    ``np.add.at`` scatter bit for bit — values, dtype and memory layout,
+    which einsum's BLAS blocking reads."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_matches_reference(self, k, dtype):
+        h, w, checked = 7, 10, 0
+        for n, stride, padding, dilation in itertools.product(
+                (1, 2, 8), (1, 2, 3), (0, 1, 2), (1, 2)):
+            if min(conv_output_size(h, k, stride, padding, dilation),
+                   conv_output_size(w, k, stride, padding, dilation)) < 1:
+                continue
+            g = rng(n * 1000 + stride * 100 + padding * 10 + dilation)
+            args = (k, k, stride, padding, dilation)
+            for c in (1, 3):
+                x = g.normal(size=(n, c, h, w)).astype(dtype)
+                for xv in _layouts(x):
+                    got, want = im2col(xv, *args), reference_im2col(xv, *args)
+                    assert got.dtype == want.dtype
+                    assert got.strides == want.strides
+                    assert np.array_equal(got, want)
+                y = g.normal(size=want.shape).astype(dtype)
+                for yv in (y, y.transpose(2, 1, 0).copy().transpose(2, 1, 0)):
+                    got = col2im(yv, x.shape, *args)
+                    want = reference_col2im(yv, x.shape, *args)
+                    assert got.strides == want.strides
+                    assert np.array_equal(got, want)
+                checked += 1
+        assert checked > 30
+
+    def test_overlapping_windows_accumulate_in_tap_order(self):
+        """k > stride: every interior pixel sums several taps; values are
+        spread over magnitudes so a different summation order re-rounds."""
+        g = rng(7)
+        x_shape = (2, 3, 11, 9)
+        for k, stride, dilation in ((3, 1, 1), (3, 2, 1), (3, 1, 2),
+                                    (2, 1, 1)):
+            oh = conv_output_size(11, k, stride, 1, dilation)
+            ow = conv_output_size(9, k, stride, 1, dilation)
+            cols = (g.normal(size=(2, 3 * k * k, oh * ow))
+                    * 10.0 ** g.integers(-6, 6, size=(2, 3 * k * k, oh * ow))
+                    ).astype(np.float32)
+            got = col2im(cols, x_shape, k, k, stride, 1, dilation)
+            want = reference_col2im(cols, x_shape, k, k, stride, 1, dilation)
+            assert np.array_equal(got, want)
 
 
 class TestOutputSize:
@@ -83,3 +188,41 @@ class TestSampleGrid:
         rows, cols, oh, ow = sample_grid(6, 6, 3, 3, 2, 1)
         assert rows.min() >= 0 and rows.max() <= 6 + 2 * 1 - 1
         assert cols.min() >= 0 and cols.max() <= 6 + 2 * 1 - 1
+
+
+class TestEinsum:
+    def test_path_is_computed_once_per_shape(self):
+        g = rng(11)
+        w = g.normal(size=(7, 13)).astype(np.float32)
+        before = einsum_path.cache_info()
+        for _ in range(3):
+            cols = g.normal(size=(3, 13, 17)).astype(np.float32)
+            einsum("ok,nkl->nol", w, cols)
+        after = einsum_path.cache_info()
+        assert after.misses - before.misses == 1
+        assert after.hits - before.hits == 2
+        einsum("ok,nkl->nol", w, cols[:, :, :5])
+        assert einsum_path.cache_info().misses - after.misses == 1
+
+    def test_matches_optimized_einsum_where_greedy_swaps_operands(self):
+        """(2,5,9,11) -> 7 filters, 3x3, stride 2, padding 1, dilation 2:
+        the greedy path contracts the columns first ('nkl,ok->nol')."""
+        g = rng(12)
+        x = g.normal(size=(2, 5, 9, 11)).astype(np.float32)
+        w2 = g.normal(size=(7, 45)).astype(np.float32)
+        cols = im2col(x, 3, 3, 2, 1, 2)
+        report = np.einsum_path("ok,nkl->nol", w2, cols, optimize=True)[1]
+        assert "nkl,ok->nol" in report
+        got = einsum("ok,nkl->nol", w2, cols)
+        assert np.array_equal(got, np.einsum("ok,nkl->nol", w2, cols,
+                                             optimize=True))
+
+    def test_out_buffer(self):
+        g = rng(13)
+        w = g.normal(size=(4, 6))
+        cols = g.normal(size=(2, 6, 5))
+        out = np.empty((2, 4, 5))
+        res = einsum("ok,nkl->nol", w, cols, out=out)
+        assert res is out
+        assert np.array_equal(out, np.einsum("ok,nkl->nol", w, cols,
+                                             optimize=True))

@@ -7,6 +7,7 @@ import repro.nn.functional as F
 from repro.tensor import Tensor
 
 from helpers import check_gradients, rng
+from test_im2col import reference_col2im, reference_im2col
 
 
 def naive_conv2d(x, w, b=None, stride=1, padding=0, dilation=1, groups=1):
@@ -37,6 +38,81 @@ def naive_conv2d(x, w, b=None, stride=1, padding=0, dilation=1, groups=1):
     if b is not None:
         out += b.reshape(1, -1, 1, 1)
     return out
+
+
+def reference_conv2d(x, w, b, g, stride=1, padding=0, dilation=1, groups=1):
+    """``conv2d`` on arrays as it ran before the strided-tap lowering:
+    fancy-index im2col, ``np.add.at`` col2im and an einsum path search on
+    every call.  Returns ``(out, dx, dw, db)`` for upstream gradient ``g``."""
+    n, c_in, h, wd = x.shape
+    c_out, c_in_g, kh, kw = w.shape
+    cols = reference_im2col(x, kh, kw, stride, padding, dilation)
+    l = cols.shape[2]
+    if groups == 1:
+        w2 = w.reshape(c_out, c_in_g * kh * kw)
+        out = np.einsum("ok,nkl->nol", w2, cols, optimize=True)
+    else:
+        cols_g = cols.reshape(n, groups, c_in_g * kh * kw, l)
+        w_g = w.reshape(groups, c_out // groups, c_in_g * kh * kw)
+        out = np.einsum("gok,ngkl->ngol", w_g, cols_g, optimize=True)
+        out = out.reshape(n, c_out, l)
+    out = out.reshape(g.shape) + b.reshape(1, c_out, 1, 1)
+    g2 = g.reshape(n, c_out, l)
+    if groups == 1:
+        grad_cols = np.einsum("ok,nol->nkl", w2, g2, optimize=True)
+        dw = np.einsum("nol,nkl->ok", g2, cols, optimize=True)
+    else:
+        g_g = g2.reshape(n, groups, c_out // groups, l)
+        grad_cols = np.einsum("gok,ngol->ngkl", w_g, g_g, optimize=True)
+        grad_cols = grad_cols.reshape(n, c_in * kh * kw, l)
+        dw = np.einsum("ngol,ngkl->gok", g_g, cols_g, optimize=True)
+    dx = reference_col2im(grad_cols, x.shape, kh, kw, stride, padding,
+                          dilation)
+    return out, dx, dw.reshape(w.shape), g.sum(axis=(0, 2, 3))
+
+
+class TestConv2dBitIdentity:
+    """Forward output and all three gradients equal the fancy-index lowering
+    bit for bit, on the shapes where a different column layout or a
+    different contraction re-rounds."""
+
+    @pytest.mark.parametrize("x_shape,w_shape,stride,padding,dilation,groups", [
+        ((8, 8, 32, 32), (8, 8, 1, 1), 1, 0, 1, 1),
+        ((1, 128, 4, 4), (64, 128, 1, 1), 1, 0, 1, 1),
+        ((2, 16, 9, 7), (12, 16, 1, 1), 2, 0, 1, 1),
+        ((4, 64, 8, 8), (64, 64, 3, 3), 2, 1, 1, 1),
+        ((2, 5, 9, 11), (7, 5, 3, 3), 2, 1, 2, 1),
+        ((2, 6, 9, 7), (8, 3, 3, 3), 1, 1, 1, 2),
+        ((2, 8, 10, 10), (8, 1, 3, 3), 1, 1, 1, 8),
+        ((2, 1, 9, 9), (4, 1, 3, 3), 1, 1, 1, 1),
+    ])
+    @pytest.mark.parametrize("layout", ["contiguous", "transposed"])
+    def test_matches_reference_lowering(self, x_shape, w_shape, stride,
+                                        padding, dilation, groups, layout):
+        g = rng(sum(x_shape) + sum(w_shape))
+        n, c = x_shape[:2]
+        x = Tensor(g.normal(size=x_shape).astype(np.float32),
+                   requires_grad=True)
+        if layout == "transposed":
+            # Tensor() keeps C order; a (C, N, H, W)-ordered view has to be
+            # set on .data directly.
+            x.data = np.ascontiguousarray(
+                x.data.transpose(1, 0, 2, 3)).transpose(1, 0, 2, 3)
+        w = Tensor(g.normal(size=w_shape).astype(np.float32),
+                   requires_grad=True)
+        b = Tensor(g.normal(size=w_shape[:1]).astype(np.float32),
+                   requires_grad=True)
+        out = F.conv2d(x, w, b, stride=stride, padding=padding,
+                       dilation=dilation, groups=groups)
+        up = g.normal(size=out.shape).astype(np.float32)
+        out.backward(up)
+        want = reference_conv2d(x.data, w.data, b.data, up, stride, padding,
+                                dilation, groups)
+        # the output's memory order is the next layer's input layout
+        assert out.data.strides == want[0].strides
+        for got, ref in zip((out.data, x.grad, w.grad, b.grad), want):
+            assert got.dtype == ref.dtype
+            assert np.array_equal(got, ref)
 
 
 class TestConv2d:

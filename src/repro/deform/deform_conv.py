@@ -66,32 +66,28 @@ def sampling_positions(offset: np.ndarray, in_hw: Tuple[int, int],
     return py.astype(np.float32), px.astype(np.float32)
 
 
-def _corners(py: np.ndarray, px: np.ndarray):
+#: row/column step from the top-left corner to each bilinear corner, in
+#: the order 00, 01, 10, 11 used for every stacked corner table below
+_CORNER_DY = np.array([0, 0, 1, 1])[:, None]
+_CORNER_DX = np.array([0, 1, 0, 1])[:, None]
+
+
+def _corner_weights(wy: np.ndarray, wx: np.ndarray) -> np.ndarray:
+    """Bilinear weights of the four corners, stacked on axis 2."""
+    return np.stack(((1 - wy) * (1 - wx), (1 - wy) * wx,
+                     wy * (1 - wx), wy * wx), axis=2)
+
+
+def _corner_tables(py: np.ndarray, px: np.ndarray, h: int, w: int):
+    """Fractional parts (N, dg, KL) plus the four corners' validity and
+    flat (clipped) input indices, stacked on axis 2: (N, dg, 4, KL)."""
     y0 = np.floor(py).astype(np.int64)
     x0 = np.floor(px).astype(np.int64)
-    wy = py - y0
-    wx = px - x0
-    return y0, x0, wy, wx
-
-
-def _gather_corners(x5: np.ndarray, y0, x0, wy, wx, h: int, w: int):
-    """Gather the four corner values for every (n, g, c, k, l) sample.
-
-    ``x5``: (N, dg, cpg, H*W) flattened input; index arrays have shape
-    (N, dg, KL).  Returns corner values of shape (N, dg, cpg, KL) each plus
-    the per-corner validity masks.
-    """
-    def gather(yi, xi):
-        valid = (yi >= 0) & (yi < h) & (xi >= 0) & (xi < w)
-        idx = np.clip(yi, 0, h - 1) * w + np.clip(xi, 0, w - 1)
-        vals = np.take_along_axis(x5, idx[:, :, None, :], axis=-1)
-        return vals * valid[:, :, None, :], valid, idx
-
-    v00, m00, i00 = gather(y0, x0)
-    v01, m01, i01 = gather(y0, x0 + 1)
-    v10, m10, i10 = gather(y0 + 1, x0)
-    v11, m11, i11 = gather(y0 + 1, x0 + 1)
-    return (v00, v01, v10, v11), (m00, m01, m10, m11), (i00, i01, i10, i11)
+    yi = y0[:, :, None] + _CORNER_DY
+    xi = x0[:, :, None] + _CORNER_DX
+    valid = (yi >= 0) & (yi < h) & (xi >= 0) & (xi < w)
+    idx = np.clip(yi, 0, h - 1) * w + np.clip(xi, 0, w - 1)
+    return py - y0, px - x0, valid, idx
 
 
 def deform_im2col_arrays(x: np.ndarray, offset: np.ndarray, kernel_size: int,
@@ -103,6 +99,11 @@ def deform_im2col_arrays(x: np.ndarray, offset: np.ndarray, kernel_size: int,
     ``x``: (N, C, H, W); ``offset``: (N, 2*dg*K, OH, OW);
     ``mask`` (modulation, DCNv2): (N, dg*K, OH, OW) or None.
     Columns come back as (N, C*K, L) ready for the filter GEMM.
+
+    One ``np.take`` per (n, g) slab gathers all four corners of every
+    sample into (N, dg, cpg, 4, KL); out-of-image corners are then zeroed
+    by multiplying with their validity.  The float64 blend runs in two
+    buffers, summing ``((t00 + t01) + t10) + t11``.
     """
     n, c, h, w = x.shape
     dg = deformable_groups
@@ -112,28 +113,33 @@ def deform_im2col_arrays(x: np.ndarray, offset: np.ndarray, kernel_size: int,
     k = kernel_size * kernel_size
     py, px = sampling_positions(offset, (h, w), kernel_size, stride, padding,
                                 dilation, dg)
-    kl = py.shape[-1] * k
-    py2 = py.reshape(n, dg, kl)
-    px2 = px.reshape(n, dg, kl)
-    y0, x0, wy, wx = _corners(py2, px2)
-    x5 = x.reshape(n, dg, cpg, h * w)
-    (v00, v01, v10, v11), masks, idxs = _gather_corners(x5, y0, x0, wy, wx, h, w)
-    wy_b = wy[:, :, None, :]
-    wx_b = wx[:, :, None, :]
-    vals = ((1 - wy_b) * (1 - wx_b) * v00 + (1 - wy_b) * wx_b * v01
-            + wy_b * (1 - wx_b) * v10 + wy_b * wx_b * v11)
+    l = py.shape[-1]
+    kl = k * l
+    wy, wx, valid, idx = _corner_tables(
+        py.reshape(n, dg, kl), px.reshape(n, dg, kl), h, w)
+    x3 = x.reshape(n * dg, cpg, h * w)
+    corners = np.empty((n * dg, cpg, 4 * kl), dtype=x.dtype)
+    # idx is already clipped; mode="clip" lets take write straight into
+    # ``out`` (the default mode="raise" buffers it)
+    for s, slab_idx in enumerate(idx.reshape(n * dg, 4 * kl)):
+        np.take(x3[s], slab_idx, axis=1, out=corners[s], mode="clip")
+    corners = corners.reshape(n, dg, cpg, 4, kl)
+    corners *= valid[:, :, None]
+    wgt = _corner_weights(wy, wx)[:, :, None]
+    vals = np.multiply(wgt[:, :, :, 0], corners[:, :, :, 0])
+    term = np.empty_like(vals)
+    for i in range(1, 4):
+        vals += np.multiply(wgt[:, :, :, i], corners[:, :, :, i], out=term)
+    del term
     if mask is not None:
-        m = mask.reshape(n, dg, 1, kl)
         raw_vals = vals
-        vals = vals * m
+        vals = vals * mask.reshape(n, dg, 1, kl)
     else:
         raw_vals = None
-    l = kl // k
-    # (N, dg, cpg, K, L) -> (N, C, K, L) -> (N, C*K, L)
-    cols = vals.reshape(n, dg, cpg, k, l).reshape(n, c, k, l).reshape(n, c * k, l)
-    saved = dict(y0=y0, x0=x0, wy=wy, wx=wx, corners=(v00, v01, v10, v11),
-                 masks=masks, idxs=idxs, raw_vals=raw_vals, k=k, l=l,
-                 cpg=cpg, dg=dg, hw=(h, w))
+    # (N, dg, cpg, KL) -> (N, C*K, L)
+    cols = vals.reshape(n, c * k, l)
+    saved = dict(wy=wy, wx=wx, valid=valid, idx=idx, corners=corners,
+                 raw_vals=raw_vals, k=k, l=l, cpg=cpg, dg=dg, hw=(h, w))
     return cols, saved
 
 
@@ -184,49 +190,68 @@ def deform_conv2d(x: Tensor, offset: Tensor, weight: Tensor,
         grad_cols = einsum("ok,nol->nkl", w2, g2)
         cpg = saved["cpg"]
         kl = k * l
-        # (N, C*K, L) -> (N, dg, cpg, KL)
-        gc = grad_cols.reshape(n, dg, cpg, k, l).reshape(n, dg, cpg, kl)
-        v00, v01, v10, v11 = saved["corners"]
+        # (N, C*K, L) -> (N, dg, cpg, KL), widened in the same copy: every
+        # product it enters below is float64, and the widening is exact
+        gc = np.empty((n, dg, cpg, kl))
+        np.copyto(gc.reshape(n, c_in * k, l), grad_cols)
+        corners = saved["corners"]
+        v00, v01, v10, v11 = (corners[:, :, :, i] for i in range(4))
         wy = saved["wy"][:, :, None, :]
         wx = saved["wx"][:, :, None, :]
         if mask is not None:
-            m = mask_data.reshape(n, dg, 1, kl)
-            grad_mask = (gc * (saved["raw_vals"])).sum(axis=2)  # (N, dg, KL)
-            gc_eff = gc * m
+            m = mask_data.reshape(n, dg, kl)
+            # rounded in the unwidened dtype, as grad_cols * m would be
+            gc_eff = np.multiply(gc, m[:, :, None, :],
+                                 dtype=np.result_type(grad_cols, m))
         else:
-            grad_mask = None
             gc_eff = gc
+        # Per-call float64 scratch; ``term`` also holds the int64 scatter
+        # index.  Corner differences are rounded in x's dtype, as ``v1 - v0``
+        # would be, before they are widened.
+        acc = np.empty(gc.shape)
+        term = np.empty_like(acc)
 
-        # --- grad wrt offsets ------------------------------------------
-        d_py = (1 - wx) * (v10 - v00) + wx * (v11 - v01)
-        d_px = (1 - wy) * (v01 - v00) + wy * (v11 - v10)
-        if mask is not None:
-            # corners are raw values; modulation scales the derivative
-            g_py = (gc * d_py).sum(axis=2) * mask_data.reshape(n, dg, kl)
-            g_px = (gc * d_px).sum(axis=2) * mask_data.reshape(n, dg, kl)
-        else:
-            g_py = (gc_eff * d_py).sum(axis=2)
-            g_px = (gc_eff * d_px).sum(axis=2)
-        grad_off = np.empty((n, dg, k, 2, l), dtype=np.float32)
-        grad_off[:, :, :, 0] = g_py.reshape(n, dg, k, l)
-        grad_off[:, :, :, 1] = g_px.reshape(n, dg, k, l)
+        # --- grad wrt offsets: derivative of the bilinear weights -------
+        def grad_position(t, c0, c1, c2, c3):
+            """sum over cpg of gc * ((1 - t)(c0 - c1) + t (c2 - c3))."""
+            np.multiply(np.subtract(c0, c1, out=acc, dtype=corners.dtype),
+                        1 - t, out=acc)
+            np.multiply(np.subtract(c2, c3, out=term, dtype=corners.dtype),
+                        t, out=term)
+            np.add(acc, term, out=acc)
+            if mask is not None:
+                # corners are raw values; modulation scales the derivative
+                return np.multiply(acc, gc, out=acc).sum(axis=2) * m
+            return np.multiply(acc, gc_eff, out=acc).sum(axis=2)
+
+        # float64 like every gradient here: backward_op rounds each one to
+        # its parent's dtype
+        grad_off = np.empty((n, dg, k, 2, l))
+        grad_off[:, :, :, 0] = grad_position(wx, v10, v00, v11, v01).reshape(
+            n, dg, k, l)
+        grad_off[:, :, :, 1] = grad_position(wy, v01, v00, v11, v10).reshape(
+            n, dg, k, l)
         grad_off = grad_off.reshape(offset.shape)
+        if mask is not None:
+            grad_mask = np.multiply(gc, saved["raw_vals"], out=acc).sum(axis=2)
 
-        # --- grad wrt input: bilinear scatter --------------------------
+        # --- grad wrt input: bilinear scatter, one bincount per corner --
+        # Validity is folded into the small corner weights: for finite
+        # w >= 0, g*(w*v) == (g*w)*v bit for bit when v is 0 or 1.
         hw = saved["hw"][0] * saved["hw"][1]
-        weights4 = ((1 - wy) * (1 - wx), (1 - wy) * wx,
-                    wy * (1 - wx), wy * wx)
+        live = _corner_weights(saved["wy"], saved["wx"])
+        live *= saved["valid"]
+        idx = saved["idx"]
         # global flat index base for (n, g, c): ((n*dg+g)*cpg+c)*HW
         base = (np.arange(n * dg * cpg) * hw).reshape(n, dg, cpg, 1)
-        grad_x_flat = np.zeros(n * dg * cpg * hw, dtype=np.float64)
-        for corner_w, valid, idx in zip(weights4, saved["masks"], saved["idxs"]):
-            contrib = gc_eff * corner_w * valid[:, :, None, :]
-            flat_idx = (base + idx[:, :, None, :]).ravel()
-            grad_x_flat += np.bincount(flat_idx, weights=contrib.ravel(),
+        flat_idx = term.view(np.int64)
+        grad_x_flat = np.zeros(n * c_in * hw, dtype=np.float64)
+        for i in range(4):
+            np.multiply(gc_eff, live[:, :, None, i], out=acc)
+            np.add(base, idx[:, :, None, i], out=flat_idx)
+            grad_x_flat += np.bincount(flat_idx.ravel(), weights=acc.ravel(),
                                        minlength=grad_x_flat.size)
-        grad_x = grad_x_flat.reshape(x.shape).astype(np.float32)
-
-        grads = [grad_x, grad_off, grad_w]
+        grads = [grad_x_flat.reshape(x.shape), grad_off, grad_w]
         if bias is not None:
             grads.append(g.sum(axis=(0, 2, 3)))
         if mask is not None:

@@ -63,7 +63,9 @@ def backward_op(
                 if parent.grad is None:
                     parent.grad = g.copy() if g.base is not None else g
                 else:
-                    parent.grad += g
+                    # not ``+=``: parent.grad may be the very array another
+                    # node still waits on (``add`` hands one g to both sides)
+                    parent.grad = parent.grad + g
 
         out._backward = _backward
     return out

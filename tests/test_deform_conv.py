@@ -6,7 +6,9 @@ import pytest
 import repro.nn.functional as F
 from repro.deform import (DeformConv2d, deform_conv2d, deform_im2col_arrays,
                           sampling_positions)
-from repro.tensor import Tensor
+from repro.deform import deform_conv as deform_conv_module
+from repro.nn.im2col import einsum
+from repro.tensor import Tensor, backward_op
 
 from helpers import check_gradients, rng
 
@@ -227,3 +229,223 @@ class TestDeformConvModule:
         text = repr(layer)
         for word in ("light", "bound=7.0", "rounded", "modulated"):
             assert word in text
+
+
+# ----------------------------------------------------------------------
+# Byte-identity oracle: the deformable op as it was written before its
+# gather, blend and backward were restructured (four broadcast
+# take_along_axis gathers, one freshly allocated array per intermediate).
+# ----------------------------------------------------------------------
+def oracle_im2col(x, offset, ks, stride, padding, dilation, dg, mask=None):
+    n, c, h, w = x.shape
+    cpg = c // dg
+    k = ks * ks
+    py, px = sampling_positions(offset, (h, w), ks, stride, padding,
+                                dilation, dg)
+    kl = py.shape[-1] * k
+    py2 = py.reshape(n, dg, kl)
+    px2 = px.reshape(n, dg, kl)
+    y0 = np.floor(py2).astype(np.int64)
+    x0 = np.floor(px2).astype(np.int64)
+    wy = py2 - y0
+    wx = px2 - x0
+    x5 = x.reshape(n, dg, cpg, h * w)
+
+    def gather(yi, xi):
+        valid = (yi >= 0) & (yi < h) & (xi >= 0) & (xi < w)
+        idx = np.clip(yi, 0, h - 1) * w + np.clip(xi, 0, w - 1)
+        vals = np.take_along_axis(x5, idx[:, :, None, :], axis=-1)
+        return vals * valid[:, :, None, :], valid, idx
+
+    g00, g01, g10, g11 = (gather(y0, x0), gather(y0, x0 + 1),
+                          gather(y0 + 1, x0), gather(y0 + 1, x0 + 1))
+    v00, v01, v10, v11 = (g[0] for g in (g00, g01, g10, g11))
+    wy_b = wy[:, :, None, :]
+    wx_b = wx[:, :, None, :]
+    vals = ((1 - wy_b) * (1 - wx_b) * v00 + (1 - wy_b) * wx_b * v01
+            + wy_b * (1 - wx_b) * v10 + wy_b * wx_b * v11)
+    raw_vals = vals
+    if mask is not None:
+        vals = vals * mask.reshape(n, dg, 1, kl)
+    l = kl // k
+    cols = vals.reshape(n, dg, cpg, k, l).reshape(n, c, k, l).reshape(
+        n, c * k, l)
+    saved = dict(wy=wy, wx=wx, corners=(v00, v01, v10, v11),
+                 masks=tuple(g[1] for g in (g00, g01, g10, g11)),
+                 idxs=tuple(g[2] for g in (g00, g01, g10, g11)),
+                 raw_vals=raw_vals)
+    return cols, saved
+
+
+def oracle_deform_conv2d(x, offset, weight, bias, stride, padding, dilation,
+                         dg, mask, g):
+    """Output and (grad_x, grad_offset, grad_w, grad_b, grad_mask) for an
+    upstream gradient ``g``, in float64 as computed, before Tensor and
+    backward_op round them to each parent's dtype."""
+    n, c_in, h, w = x.shape
+    c_out, _, ks, _ = weight.shape
+    k = ks * ks
+    cols, saved = oracle_im2col(x, offset, ks, stride, padding, dilation,
+                                dg, mask)
+    l = cols.shape[-1]
+    out_h, out_w = offset.shape[2:]
+    w2 = weight.reshape(c_out, c_in * k)
+    out = einsum("ok,nkl->nol", w2, cols).reshape(n, c_out, out_h, out_w)
+    if bias is not None:
+        out = out + bias.reshape(1, c_out, 1, 1)
+
+    g2 = g.reshape(n, c_out, l)
+    grad_w = einsum("nol,nkl->ok", g2, cols).reshape(weight.shape)
+    grad_cols = einsum("ok,nol->nkl", w2, g2)
+    cpg = c_in // dg
+    kl = k * l
+    gc = grad_cols.reshape(n, dg, cpg, k, l).reshape(n, dg, cpg, kl)
+    v00, v01, v10, v11 = saved["corners"]
+    wy = saved["wy"][:, :, None, :]
+    wx = saved["wx"][:, :, None, :]
+    if mask is not None:
+        m = mask.reshape(n, dg, 1, kl)
+        grad_mask = (gc * saved["raw_vals"]).sum(axis=2)
+        gc_eff = gc * m
+    else:
+        gc_eff = gc
+    d_py = (1 - wx) * (v10 - v00) + wx * (v11 - v01)
+    d_px = (1 - wy) * (v01 - v00) + wy * (v11 - v10)
+    if mask is not None:
+        g_py = (gc * d_py).sum(axis=2) * mask.reshape(n, dg, kl)
+        g_px = (gc * d_px).sum(axis=2) * mask.reshape(n, dg, kl)
+    else:
+        g_py = (gc_eff * d_py).sum(axis=2)
+        g_px = (gc_eff * d_px).sum(axis=2)
+    grad_off = np.empty((n, dg, k, 2, l))
+    grad_off[:, :, :, 0] = g_py.reshape(n, dg, k, l)
+    grad_off[:, :, :, 1] = g_px.reshape(n, dg, k, l)
+    grad_off = grad_off.reshape(offset.shape)
+    hw = h * w
+    weights4 = ((1 - wy) * (1 - wx), (1 - wy) * wx, wy * (1 - wx), wy * wx)
+    base = (np.arange(n * dg * cpg) * hw).reshape(n, dg, cpg, 1)
+    grad_x_flat = np.zeros(n * dg * cpg * hw, dtype=np.float64)
+    for corner_w, valid, idx in zip(weights4, saved["masks"], saved["idxs"]):
+        contrib = gc_eff * corner_w * valid[:, :, None, :]
+        flat_idx = (base + idx[:, :, None, :]).ravel()
+        grad_x_flat += np.bincount(flat_idx.ravel(), weights=contrib.ravel(),
+                                   minlength=grad_x_flat.size)
+    grad_x = grad_x_flat.reshape(x.shape)
+    grads = [grad_x, grad_off, grad_w,
+             None if bias is None else g.sum(axis=(0, 2, 3)),
+             None if mask is None else grad_mask.reshape(mask.shape)]
+    return out, grads
+
+
+def _oracle_case(seed, n, c, c_out, h, w, stride=1, padding=1, dilation=1,
+                 dg=1, masked=False, bias=True, offsets="wild", nhwc=False):
+    g = rng(seed)
+    x = g.normal(size=(n, h, w, c)).astype(np.float32)
+    # search-train feeds channels-last activations; both layouts must agree
+    x = x.transpose(0, 3, 1, 2) if nhwc else np.ascontiguousarray(
+        x.transpose(0, 3, 1, 2))
+    oh = (h + 2 * padding - 2 * dilation - 1) // stride + 1
+    ow = (w + 2 * padding - 2 * dilation - 1) // stride + 1
+    shape = (n, 2 * dg * 9, oh, ow)
+    if offsets == "wild":  # many samples land partly or wholly off-image
+        off = g.normal(scale=6.0, size=shape).astype(np.float32)
+    else:  # integer: zero fractional weights, corners exactly on pixels
+        off = g.integers(-3, 4, size=shape).astype(np.float32)
+    wgt = g.normal(scale=0.2, size=(c_out, c, 3, 3)).astype(np.float32)
+    b = g.normal(size=(c_out,)).astype(np.float32) if bias else None
+    mask = (g.uniform(0.0, 2.0, size=(n, dg * 9, oh, ow)).astype(np.float32)
+            if masked else None)
+    up = g.normal(size=(n, c_out, oh, ow)).astype(np.float32)
+    kw = dict(stride=stride, padding=padding, dilation=dilation)
+    return x, off, wgt, b, mask, up, kw, dg
+
+
+#: the search-train supernet's deformable sites: (N, C, H, W), stride
+SITE_GEOMETRIES = [((8, 16, 16, 16), 1), ((8, 16, 32, 32), 2),
+                   ((8, 32, 16, 16), 2), ((8, 32, 8, 8), 1),
+                   ((8, 64, 4, 4), 1), ((8, 64, 8, 8), 2)]
+
+ORACLE_CASES = (
+    [pytest.param(dict(n=n, c=c, c_out=c, h=h, w=w, stride=s, nhwc=True,
+                       bias=False), id=f"site-{n}x{c}x{h}x{w}-s{s}")
+     for (n, c, h, w), s in SITE_GEOMETRIES]
+    + [pytest.param(dict(n=2, c=4, c_out=3, h=7, w=9, dg=2), id="dg2"),
+       pytest.param(dict(n=2, c=4, c_out=5, h=6, w=6, dg=2, masked=True),
+                    id="dg2-modulated"),
+       pytest.param(dict(n=3, c=3, c_out=4, h=8, w=7, masked=True,
+                         nhwc=True, bias=False), id="modulated-nhwc"),
+       pytest.param(dict(n=2, c=2, c_out=3, h=9, w=8, stride=2, padding=0),
+                    id="stride2-pad0"),
+       pytest.param(dict(n=2, c=3, c_out=2, h=9, w=9, dilation=2,
+                         padding=2), id="dilation2-pad2"),
+       pytest.param(dict(n=2, c=4, c_out=3, h=6, w=7, padding=0, dg=2,
+                         offsets="integer"), id="integer-offsets"),
+       pytest.param(dict(n=2, c=2, c_out=2, h=5, w=5, stride=2, dilation=2,
+                         padding=2, masked=True, offsets="integer"),
+                    id="integer-offsets-modulated"),
+       pytest.param(dict(n=1, c=5, c_out=7, h=6, w=5), id="n1"),
+       pytest.param(dict(n=1, c=2, c_out=1, h=4, w=4, padding=0,
+                         masked=True), id="n1-modulated-pad0")]
+)
+
+
+def _same_bytes(got, want):
+    return (got.dtype == want.dtype and got.shape == want.shape
+            and got.tobytes() == want.tobytes())
+
+
+class TestByteIdentityOracle:
+    """Output and every gradient match the oracle byte for byte — dtype,
+    shape and the sign of every zero included."""
+
+    @pytest.mark.parametrize("case", ORACLE_CASES)
+    def test_output_and_gradients(self, case, monkeypatch):
+        """Both as stored (float32) and as ``grad_fn`` returns them
+        (float64): a reordered float64 sum seldom moves a float32 bit."""
+        x, off, wgt, b, mask, up, kw, dg = _oracle_case(seed=31, **case)
+        want_out, want_grads = oracle_deform_conv2d(
+            x, off, wgt, b, kw["stride"], kw["padding"], kw["dilation"], dg,
+            mask, up)
+        recorded = []
+
+        def spy(out_data, parents, grad_fn, op):
+            recorded.append((out_data, grad_fn))
+            return backward_op(out_data, parents, grad_fn, op)
+
+        monkeypatch.setattr(deform_conv_module, "backward_op", spy)
+        leaves = [None if a is None else Tensor(a, requires_grad=True)
+                  for a in (x, off, wgt, b, mask)]
+        out = deform_conv2d(leaves[0], leaves[1], leaves[2], leaves[3],
+                            deformable_groups=dg, mask=leaves[4], **kw)
+        out.backward(up)
+        (raw_out, grad_fn), = recorded
+        assert _same_bytes(raw_out, want_out)
+        assert _same_bytes(out.data, want_out.astype(np.float32))
+        names = ("x", "offset", "weight", "bias", "mask")
+        present = [(name, leaf, want) for name, leaf, want
+                   in zip(names, leaves, want_grads) if leaf is not None]
+        for (name, leaf, want), raw in zip(present, grad_fn(up)):
+            assert _same_bytes(raw, want), name
+            assert _same_bytes(leaf.grad,
+                               np.asarray(want, dtype=leaf.data.dtype)), name
+
+    @pytest.mark.parametrize("case", ORACLE_CASES)
+    def test_columns(self, case):
+        """The columns ``run_reference`` contracts: same bytes, same
+        strides (einsum's BLAS rounding reads the layout)."""
+        x, off, _, _, mask, _, kw, dg = _oracle_case(seed=32, **case)
+        want, _ = oracle_im2col(x, off, 3, kw["stride"], kw["padding"],
+                                kw["dilation"], dg, mask)
+        got, _ = deform_im2col_arrays(x, off, 3, kw["stride"], kw["padding"],
+                                      kw["dilation"], dg, mask)
+        assert _same_bytes(got, want) and got.strides == want.strides
+
+    def test_signed_zeros_survive(self):
+        """Wholly off-image samples of a negative image give -0.0 columns;
+        the op must keep those signs, not flush them to +0.0."""
+        x = -np.ones((1, 1, 3, 3), dtype=np.float32)
+        off = np.full((1, 18, 3, 3), 50.0, dtype=np.float32)
+        cols, _ = deform_im2col_arrays(x, off, 3, 1, 1, 1, 1)
+        want, _ = oracle_im2col(x, off, 3, 1, 1, 1, 1)
+        assert np.all(cols == 0) and np.all(np.signbit(cols))
+        assert _same_bytes(cols, want)

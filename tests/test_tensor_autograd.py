@@ -21,6 +21,18 @@ class TestBackwardMechanics:
         (x * x + x).sum().backward()
         assert np.allclose(x.grad, [7.0])  # 2x + 1
 
+    @pytest.mark.parametrize("a_first", [True, False])
+    def test_parent_used_twice_leaves_sibling_grad_alone(self, a_first):
+        """``u + u`` accumulates into u.grad; that must not change the
+        gradient ``a + b`` handed to b, which is the same array."""
+        x = Tensor([1.0, 2.0], requires_grad=True)
+        u = x * 1.0
+        v = x * 1.0
+        a = u + u
+        b = v * 1.0
+        (a + b if a_first else b + a).backward(np.ones(2))
+        assert np.array_equal(x.grad, [3.0, 3.0])
+
     def test_diamond_graph(self):
         x = Tensor([1.0, 2.0], requires_grad=True)
         a = x * 2.0

@@ -3,8 +3,8 @@
 The eager functional path of :func:`~repro.kernels.tex2d.run_tex2d`
 re-derives everything per call: sampling positions, a freshly staged
 :class:`~repro.gpusim.texture.LayeredTexture2D`, four fancy-indexed
-corner gathers with address-mode resolution, a column reshape, and an
-einsum GEMM — each step allocating new temporaries, even when the plan
+corner gathers with address-mode resolution, a column reshape, and a
+GEMM — each step allocating new temporaries, even when the plan
 cache already proves the offsets and geometry are identical to the
 previous step (the steady state of serving).
 
@@ -23,7 +23,7 @@ once per (offset digest, geometry, device, fp16) plan-cache entry:
 :meth:`FusedPlan.execute` then runs gather → blend → GEMM as one
 preplanned pass writing into those buffers: four ``np.take`` gathers
 blended in place into the column buffer and one
-:func:`~repro.kernels.reference.contract` call (the *same* einsum as the
+:func:`~repro.kernels.reference.contract` call (the *same* GEMM as the
 eager path, so the contraction order — and therefore every output bit —
 is identical).
 
